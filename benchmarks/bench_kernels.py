@@ -2,7 +2,8 @@
 
 Run with ``python benchmarks/bench_kernels.py``.  Set QLAT_NO_NUMBA=1 to
 confirm the fallback path is selected globally; this script times both
-implementations directly when numba is available.
+implementations directly when numba is available.  The ellipsoid
+enumeration has only the numpy implementation.
 """
 
 import time
@@ -32,25 +33,15 @@ def bench_quad_matmul():
     return "quad_matmul_batch (5000 x 4x4)", cases
 
 
-def bench_box_scan():
-    from qlat.cutproject import Window, _zonotope_facets, embedding
+def bench_ellipsoid_points():
+    from qlat.cutproject import Window, _window_circumradius, embedding
 
+    # the candidates of the H3-primitive cell patch of radius 16 (3471 points)
     emb = embedding("H3-primitive")
-    normals, supports = _zonotope_facets(emb.cell_generators, 1.0)
-    combined = np.vstack([emb.parallel, emb.perpendicular])
-    inv = np.linalg.inv(combined)
-    reach = np.hypot(8.0, 0.5 * np.linalg.norm(emb.cell_generators, axis=0).sum())
-    bounds = np.ceil(np.linalg.norm(inv, axis=1) * reach + 1e-9).astype(np.int64)
-    args_np = (emb.parallel, emb.perpendicular, bounds, 8.0, normals, supports, 0.0)
-    cases = [("numpy", lambda: kernels._box_scan_np(*args_np))]
-    if kernels.HAVE_NUMBA:
-        par = np.ascontiguousarray(emb.parallel)
-        perp = np.ascontiguousarray(emb.perpendicular)
-        cases.append(
-            ("numba", lambda: kernels._box_scan_nb(
-                par, perp, bounds, 8.0, normals, supports, 0.0))
-        )
-    return "box_scan (H3 patch, radius 8)", cases
+    w = _window_circumradius(emb, Window("cell"))
+    basis = np.vstack([emb.parallel / 16.0, emb.perpendicular / w])
+    cases = [("numpy", lambda: kernels.ellipsoid_points(basis, 2.0))]
+    return "ellipsoid_points (H3 patch, radius 16)", cases
 
 
 def bench_structure_factor():
@@ -65,8 +56,9 @@ def bench_structure_factor():
 
 def main():
     print(f"active backend: {kernels.backend()}")
-    for builder in (bench_quad_matmul, bench_box_scan, bench_structure_factor):
-        label, cases = builder()
+    for bench in (bench_quad_matmul, bench_ellipsoid_points,
+                  bench_structure_factor):
+        label, cases = bench()
         times = {name: timeit(fn) for name, fn in cases}
         line = "  ".join(f"{name}: {t * 1e3:8.2f} ms" for name, t in times.items())
         if len(times) == 2:

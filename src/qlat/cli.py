@@ -177,11 +177,22 @@ def cmd_project(args):
     return 0
 
 
+def _read_k_list(path: str, dim: int) -> np.ndarray:
+    """The k vectors of a JSON file holding a list of rows or {"k": rows}."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+            ks = np.array(data["k"] if isinstance(data, dict) else data, dtype=float)
+        except (KeyError, TypeError, ValueError):
+            ks = None
+    if ks is None or ks.ndim != 2 or ks.shape[1] != dim:
+        raise DomainError(f"{path}: expected a JSON list of {dim}-component k vectors")
+    return ks
+
+
 def cmd_diffract(args):
     patch = cutproject.read_patch_csv(args.infile)
-    with open(args.k_list) as fh:
-        data = json.load(fh)
-    ks = np.array(data["k"] if isinstance(data, dict) else data, dtype=float)
+    ks = _read_k_list(args.k_list, patch.points.shape[1])
     from .kernels import structure_factor_sum
 
     intensities = structure_factor_sum(patch.points, ks)
@@ -272,7 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ x + conj(x) + (x - conj(x))/sqrt(5) applied to the golden 4D dot.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -34,8 +35,8 @@ class Window:
     def __post_init__(self):
         if self.shape not in ("cell", "ball"):
             raise DomainError(f"unknown window shape {self.shape!r}")
-        if self.scale <= 0:
-            raise DomainError("window scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise DomainError("window scale must be a positive finite number")
 
 
 @dataclass
@@ -160,22 +161,26 @@ def _window_circumradius(emb: Embedding, window: Window) -> float:
 def generate_patch(emb: Embedding, window: Window, radius: float) -> Patch:
     """All quasilattice points within the radius ball whose perpendicular
     image lies inside the window."""
-    if radius <= 0:
-        raise DomainError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise DomainError("radius must be a positive finite number")
     if window.shape == "cell":
         normals, supports = _zonotope_facets(emb.cell_generators, window.scale)
-        ball_r = 0.0
+    # w bounds the window, so every wanted c has |par c|^2/r2 + |perp c|^2/w^2 <= 2
+    r2 = radius * radius + 1e-9
+    w = _window_circumradius(emb, window)
+    coeffs = kernels.ellipsoid_points(
+        np.vstack([emb.parallel / math.sqrt(r2), emb.perpendicular / w]), 2.0)
+    qq = coeffs @ emb.perpendicular.T
+    if window.shape == "ball":
+        keep = (qq * qq).sum(axis=1) < window.scale * window.scale
     else:
-        normals = supports = None
-        ball_r = window.scale
-    combined = np.vstack([emb.parallel, emb.perpendicular])
-    inv = np.linalg.inv(combined)
-    reach = np.hypot(radius, _window_circumradius(emb, window))
-    bounds = np.ceil(np.linalg.norm(inv, axis=1) * reach + 1e-9).astype(np.int64)
-    coeffs = kernels.box_scan(
-        emb.parallel, emb.perpendicular, bounds, radius,
-        normals=normals, supports=supports, ball_r=ball_r,
-    )
+        keep = np.ones(len(qq), dtype=bool)
+        # one facet at a time keeps memory linear in the candidates
+        for nv, support in zip(normals, supports):
+            keep &= np.abs(qq @ nv) < support - 1e-12
+    coeffs = coeffs[keep]
+    pp = coeffs @ emb.parallel.T
+    coeffs = coeffs[(pp * pp).sum(axis=1) <= r2]
     qlm = ql(emb.target)
     exact = [qlm.from_basis_coefficients(row) for row in coeffs]
     points = (

@@ -1,16 +1,19 @@
-"""Hot numeric kernels: numba-compiled with a pure-numpy fallback.
+"""Hot numeric kernels in numpy, most with a numba-compiled twin.
 
 Set QLAT_NO_NUMBA=1 to force the numpy path; QLAT_THREADS caps numba's
 thread count.  The exact-arithmetic layers never come through here --
 only integer matrix algebra in the (x + y*sqrt(kappa))/2 encoding and
-float scans over coefficient boxes.
+float enumeration of the integer points in an ellipsoid.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
+
+from .ring import DomainError
 
 _NO_NUMBA = os.environ.get("QLAT_NO_NUMBA", "").lower() in ("1", "true", "yes")
 
@@ -85,133 +88,74 @@ def quad_matmul_batch(A: np.ndarray, B: np.ndarray, s: int, t: int) -> np.ndarra
     return _quad_matmul_batch_np(A, B, s, t)
 
 
-# -- cut-and-project coefficient box scan -------------------------------
+# -- integer points of an ellipsoid (Fincke-Pohst) ----------------------
+#
+# U. Fincke and M. Pohst, Math. Comp. 44 (1985) 463.
 
-def _box_scan_np(par, perp, bounds, radius, normals, supports, ball_r):
-    r = len(bounds)
-    sizes = [2 * b + 1 for b in bounds]
-    # enumerate the last three coefficients vectorized, the rest in a loop
-    tail = min(3, r)
-    head = r - tail
-    grids = np.meshgrid(
-        *[np.arange(-b, b + 1) for b in bounds[head:]], indexing="ij"
-    )
-    tail_coeffs = np.stack([g.ravel() for g in grids], axis=1).astype(np.float64)
-    tail_par = tail_coeffs @ par[:, head:].T
-    tail_perp = tail_coeffs @ perp[:, head:].T
-    out = []
-    head_iter = np.stack(
-        np.meshgrid(*[np.arange(-b, b + 1) for b in bounds[:head]], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, head) if head else np.zeros((1, 0))
-    for hc in head_iter:
-        p0 = par[:, :head] @ hc.astype(np.float64) if head else np.zeros(par.shape[0])
-        q0 = perp[:, :head] @ hc.astype(np.float64) if head else np.zeros(perp.shape[0])
-        pp = tail_par + p0
-        qq = tail_perp + q0
-        keep = (pp * pp).sum(axis=1) <= radius * radius + 1e-9
-        if ball_r > 0:
-            keep &= (qq * qq).sum(axis=1) < ball_r * ball_r
-        else:
-            proj = qq @ normals.T
-            keep &= (np.abs(proj) < supports[None, :] - 1e-12).all(axis=1)
-        if keep.any():
-            sel = tail_coeffs[keep]
-            full = np.empty((sel.shape[0], r))
-            full[:, :head] = hc
-            full[:, head:] = sel
-            out.append(full)
-    if not out:
-        return np.zeros((0, r), dtype=np.int64)
-    return np.concatenate(out).astype(np.int64)
+MAX_CANDIDATES = 3_000_000
+"""Enumerations expected to hold more live vectors than this are refused."""
 
 
-if HAVE_NUMBA:
+def _widest_level(diag: np.ndarray, bound: float) -> float:
+    """Expected number of live vectors at the widest enumeration level.
 
-    @njit(cache=True)
-    def _box_scan_nb(par, perp, bounds, radius, normals, supports, ball_r):  # pragma: no cover
-        r = bounds.shape[0]
-        d = par.shape[0]
-        dp = perp.shape[0]
-        nf = normals.shape[0]
-        total = np.int64(1)
-        for i in range(r):
-            total *= 2 * bounds[i] + 1
-        coeff = np.empty(r, dtype=np.int64)
-        found = []
-        r2 = radius * radius + 1e-9
-        b2 = ball_r * ball_r
-        for idx in range(total):
-            rem = idx
-            for i in range(r):
-                size = 2 * bounds[i] + 1
-                coeff[i] = rem % size - bounds[i]
-                rem //= size
-            ok = True
-            s = 0.0
-            for a in range(d):
-                x = 0.0
-                for i in range(r):
-                    x += par[a, i] * coeff[i]
-                s += x * x
-                if s > r2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if ball_r > 0:
-                s = 0.0
-                for a in range(dp):
-                    y = 0.0
-                    for i in range(r):
-                        y += perp[a, i] * coeff[i]
-                    s += y * y
-                if s >= b2:
-                    continue
-            else:
-                q = np.empty(dp)
-                for a in range(dp):
-                    y = 0.0
-                    for i in range(r):
-                        y += perp[a, i] * coeff[i]
-                    q[a] = y
-                inside = True
-                for f in range(nf):
-                    proj = 0.0
-                    for a in range(dp):
-                        proj += normals[f, a] * q[a]
-                    if abs(proj) >= supports[f] - 1e-12:
-                        inside = False
-                        break
-                if not inside:
-                    continue
-            found.append(coeff.copy())
-        out = np.empty((len(found), r), dtype=np.int64)
-        for i in range(len(found)):
-            out[i] = found[i]
-        return out
-
-
-def box_scan(par, perp, bounds, radius, normals=None, supports=None, ball_r=0.0):
-    """Integer coefficient vectors whose parallel image lies in the radius
-    ball and whose perpendicular image lies in the window.
-
-    The window is either a ball (ball_r > 0) or the interior of a centrally
-    symmetric polytope given by facet ``normals`` and ``supports``.
+    After the last k coordinates are fixed, the live vectors are the integer
+    points of the projected k-dimensional ellipsoid, of volume
+    vol(B_k) * bound^(k/2) / prod(diag[n-k:]).
     """
-    par = np.ascontiguousarray(par, dtype=np.float64)
-    perp = np.ascontiguousarray(perp, dtype=np.float64)
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-    if normals is None:
-        normals = np.zeros((0, perp.shape[0]))
-        supports = np.zeros(0)
-    normals = np.ascontiguousarray(normals, dtype=np.float64)
-    supports = np.ascontiguousarray(supports, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _box_scan_nb(par, perp, bounds, float(radius), normals, supports,
-                            float(ball_r))
-    return _box_scan_np(par, perp, bounds, float(radius), normals, supports,
-                        float(ball_r))
+    k = np.arange(1, len(diag) + 1)
+    log_ball = 0.5 * k * np.log(np.pi * bound) - [math.lgamma(0.5 * j + 1) for j in k]
+    with np.errstate(divide="ignore"):
+        log_det = np.cumsum(np.log(diag[::-1]))
+    return float(np.exp(min(np.max(log_ball - log_det), 700.0)))
+
+
+def ellipsoid_points(basis: np.ndarray, bound: float) -> np.ndarray:
+    """Every integer vector c with |basis @ c|^2 <= bound (up to a relative
+    slack of 1e-9), as an (N, n) int64 array in no particular order.
+
+    With basis = O @ U for U upper triangular, |basis @ c|^2 is the sum of
+    the squared rows of U @ c, and row i involves only c[i:].  The
+    coordinates are fixed from the last to the first; each live vector
+    branches into the integers its remaining budget allows, and every level
+    is one vectorised expansion.  Raises DomainError when the widest level
+    is expected to exceed MAX_CANDIDATES, before anything is allocated.
+    """
+    basis = np.asarray(basis, dtype=np.float64)
+    n = basis.shape[1]
+    u = np.linalg.qr(basis, mode="r")
+    u *= np.where(np.diag(u) < 0, -1.0, 1.0)[:, None]
+    diag = np.diag(u)
+    widest = _widest_level(diag, bound)
+    if not widest <= MAX_CANDIDATES:
+        raise DomainError(
+            f"enumeration would hold about {widest:.3g} candidate vectors, "
+            f"over the limit of {MAX_CANDIDATES:.3g}; "
+            "use a smaller radius or window scale")
+    limit = bound * (1 + 1e-9)
+    partial = np.zeros((1, n))  # rows of U @ c over the fixed coordinates
+    used = np.zeros(1)          # squared norm of the completed rows
+    levels = []                 # (parent index, coordinate) per live vector
+    for i in range(n - 1, -1, -1):
+        centre = -partial[:, i] / diag[i]
+        half = np.sqrt(np.maximum(limit - used, 0.0)) / diag[i]
+        lo = np.ceil(centre - half)
+        counts = np.maximum(np.floor(centre + half) - lo + 1, 0).astype(np.int64)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        first = np.cumsum(counts) - counts
+        value = lo[parent] + (np.arange(len(parent)) - first[parent])
+        levels.append((parent, value))
+        if i:
+            partial = partial[parent, :i + 1] + value[:, None] * u[:i + 1, i]
+            used = used[parent] + partial[:, i] ** 2
+            partial = partial[:, :i]
+    # walk each leaf back to the root, first coordinate first
+    coeffs = np.empty((len(value), n), dtype=np.int64)
+    node = np.arange(len(value))
+    for i, (parent, value) in enumerate(reversed(levels)):
+        coeffs[:, i] = value[node]
+        node = parent[node]
+    return coeffs
 
 
 # -- minimum nonzero parallel norm over a coefficient box ---------------

@@ -165,3 +165,57 @@ def test_project_rejects_2d_target(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("sizes", [
+    ("--radius", "nan"),
+    ("--radius", "inf"),
+    ("--radius", "5", "--window-scale", "nan"),
+], ids=["radius-nan", "radius-inf", "scale-nan"])
+def test_project_rejects_non_finite_sizes(capsys, tmp_path, sizes):
+    path = tmp_path / "x.csv"
+    code = main(["project", "--target", "H3-bcc", *sizes, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "positive finite" in captured.err
+    assert not path.exists()
+
+
+def test_project_refuses_unbounded_work(capsys, tmp_path):
+    code = main(["project", "--target", "H4", "--window", "ball",
+                 "--radius", "1e4", "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "limit" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def _patch_file(capsys, tmp_path):
+    path = tmp_path / "patch.csv"
+    assert run(capsys, "project", "--target", "H3-bcc", "--radius", "3",
+               "--out", str(path))[0] == 0
+    return path
+
+
+def test_diffract_missing_patch_file(capsys, tmp_path):
+    klist = tmp_path / "k.json"
+    klist.write_text("[[0, 0, 0]]")
+    code = main(["diffract", "--in", str(tmp_path / "missing.csv"),
+                 "--k-list", str(klist), "--out", str(tmp_path / "i.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "missing.csv" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k_list", ["[[1, 2]]", "[1, 2, 3]", '{"q": []}', "not json"])
+def test_diffract_rejects_malformed_k_list(capsys, tmp_path, k_list):
+    patch = _patch_file(capsys, tmp_path)
+    klist = tmp_path / "k.json"
+    klist.write_text(k_list)
+    code = main(["diffract", "--in", str(patch), "--k-list", str(klist),
+                 "--out", str(tmp_path / "i.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "3-component" in captured.err
+    assert captured.err.count("\n") == 1

@@ -1,6 +1,7 @@
 """Cut-and-project: the E8 source lattice, patch generation, diffraction."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +140,23 @@ def test_h4_cell_window_rejected():
     emb = embedding("H4")
     with pytest.raises(DomainError):
         generate_patch(emb, Window("cell"), 2.0)
+
+
+@pytest.mark.parametrize("radius,scale", [
+    (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+    (5.0, math.nan), (5.0, math.inf), (5.0, 0.0),
+])
+def test_non_finite_or_non_positive_sizes_rejected(radius, scale):
+    with pytest.raises(DomainError, match="positive finite"):
+        generate_patch(embedding("H3-bcc"), Window("ball", scale), radius)
+
+
+def test_huge_patch_refused_before_any_work():
+    emb = embedding("H4")
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="limit"):
+        generate_patch(emb, Window("ball"), 1e4)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_patch_points_respect_radius_and_window():

@@ -1,9 +1,21 @@
-"""Numba and numpy kernel paths agree on the same inputs."""
+"""Kernels against their numpy paths, exact arithmetic and brute force."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qlat import kernels
+from qlat.cutproject import (
+    Window,
+    _window_circumradius,
+    _zonotope_facets,
+    embedding,
+    generate_patch,
+)
+from qlat.ring import DomainError
 
 
 def test_backend_is_reported():
@@ -49,28 +61,90 @@ def test_quad_matmul_rejects_escape_from_the_ring():
         kernels.quad_matmul_batch(a, b, 1, 1)
 
 
-def test_box_scan_paths_agree():
-    rng = np.random.default_rng(2)
-    par = rng.normal(size=(3, 6))
-    perp = rng.normal(size=(3, 6))
-    bounds = np.array([1, 1, 1, 1, 1, 1])
-    got = kernels.box_scan(par, perp, bounds, 2.0, ball_r=1.5)
-    expected = kernels._box_scan_np(
-        par, perp, bounds, 2.0,
-        np.zeros((0, 3)), np.zeros(0), 1.5,
-    )
-    assert {tuple(r) for r in got} == {tuple(r) for r in expected}
+# -- ellipsoid enumeration ---------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@example(entries=[1, 0, 0, 0, 1, 0, 0, 0, 1], bound=2)  # Z^3: 19 vectors
+@given(entries=st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+       bound=st.integers(1, 20))
+def test_ellipsoid_points_match_brute_force(entries, bound):
+    # integer bases keep every |basis @ c|^2 exact, boundary included
+    basis = np.array(entries, dtype=float).reshape(3, 3)
+    assume(abs(np.linalg.det(basis)) > 0.5)
+    half = np.floor(np.sqrt(bound) * np.linalg.norm(np.linalg.inv(basis), axis=1)
+                    + 1e-9).astype(np.int64)
+    box = np.indices(2 * half + 1).reshape(3, -1).T - half
+    norms = ((box @ basis.T) ** 2).sum(axis=1)
+    got = {tuple(c) for c in kernels.ellipsoid_points(basis, bound).tolist()}
+    assert got == {tuple(c) for c in box[norms <= bound].tolist()}
 
 
-def test_box_scan_polytope_window():
-    par = np.eye(3)
-    perp = np.eye(3) * 0.1
-    normals = np.eye(3)
-    supports = np.array([0.05, 0.05, 0.05])
-    out = kernels.box_scan(par, perp, np.array([2, 2, 2]), 10.0,
-                           normals=normals, supports=supports)
-    # only the origin has all perpendicular components under 0.05
-    assert {tuple(r) for r in out} == {(0, 0, 0)}
+def test_ellipsoid_points_origin_only():
+    # |par c| <= 10 and |perp c| < 0.05 with perp = 0.1 * I: only the origin
+    basis = np.vstack([np.eye(3) / 10, np.eye(3) * 0.1 / 0.05])
+    out = kernels.ellipsoid_points(basis, 2.0)
+    assert {tuple(r) for r in out.tolist()} == {(0, 0, 0)}
+
+
+def test_ellipsoid_points_refuses_unbounded_work():
+    with pytest.raises(DomainError, match="limit"):
+        kernels.ellipsoid_points(np.eye(8) * 1e-3, 2.0)
+
+
+def _box_scan(target, shape, scale, radius):
+    """Oracle: test every coefficient vector in a box wide enough to hold
+    the patch, vectorised over all but the first two coefficients."""
+    emb = embedding(target)
+    par, perp = emb.parallel, emb.perpendicular
+    reach = np.hypot(radius, _window_circumradius(emb, Window(shape, scale)))
+    half = np.ceil(np.linalg.norm(np.linalg.inv(np.vstack([par, perp])), axis=1)
+                   * reach).astype(np.int64)
+    tail = np.indices(2 * half[2:] + 1).reshape(len(half) - 2, -1).T - half[2:]
+    tail_pp, tail_qq = tail @ par[:, 2:].T, tail @ perp[:, 2:].T
+    if shape == "cell":
+        normals, supports = _zonotope_facets(emb.cell_generators, scale)
+    found = set()
+    for head in itertools.product(*(range(-h, h + 1) for h in half[:2])):
+        pp = tail_pp + par[:, :2] @ head
+        near = np.flatnonzero((pp * pp).sum(axis=1) <= radius * radius + 1e-9)
+        qq = tail_qq[near] + perp[:, :2] @ head
+        if shape == "ball":
+            inside = (qq * qq).sum(axis=1) < scale * scale
+        else:
+            inside = (np.abs(qq @ normals.T) < supports - 1e-12).all(axis=1)
+        found |= {head + tuple(c) for c in tail[near[inside]].tolist()}
+    return found
+
+
+# every projectable target with each window it supports (H4 has no cell),
+# at the smallest radius where the patch holds more than the origin
+RADII = {("H3-primitive", "cell"): 5.0, ("H3-primitive", "ball"): 6.0,
+         ("H3-fcc", "cell"): 6.0, ("H3-fcc", "ball"): 6.0,
+         ("H3-bcc", "cell"): 4.0, ("H3-bcc", "ball"): 5.0, ("H4", "ball"): 2.0}
+
+
+def _patch_coefficients(target, shape, scale, radius):
+    patch = generate_patch(embedding(target), Window(shape, scale), radius)
+    return {tuple(c) for c in patch.coeffs.tolist()}
+
+
+@pytest.mark.parametrize("target,shape", list(RADII))
+@pytest.mark.parametrize("scale", [0.7, 1.0])
+def test_patch_enumeration_matches_box_scan(target, shape, scale):
+    radius = RADII[target, shape]
+    got = _patch_coefficients(target, shape, scale, radius)
+    assert got == _box_scan(target, shape, scale, radius)
+    assert scale < 1 or len(got) > 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(geometry=st.sampled_from(list(RADII)),
+       scale=st.sampled_from([0.7, 1.0]),
+       fraction=st.floats(0.3, 1.0))
+def test_patch_enumeration_matches_box_scan_at_drawn_radii(geometry, scale, fraction):
+    radius = fraction * RADII[geometry]
+    assert (_patch_coefficients(*geometry, scale, radius)
+            == _box_scan(*geometry, scale, radius))
 
 
 def test_min_nonzero_norm_simple_lattice():
