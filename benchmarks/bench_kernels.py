@@ -1,9 +1,7 @@
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Time the three numpy kernels.
 
-Run with ``python benchmarks/bench_kernels.py``.  Set QLAT_NO_NUMBA=1 to
-confirm the fallback path is selected globally; this script times both
-implementations directly when numba is available.  The ellipsoid
-enumeration has only the numpy implementation.
+Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
+gives the best of five runs after one warm-up run.
 """
 
 import time
@@ -13,24 +11,22 @@ import numpy as np
 from qlat import kernels
 
 
-def timeit(fn, *args, repeat=5):
-    fn(*args)  # warm up (includes JIT compilation)
+def timeit(fn, repeat=5):
+    fn()  # warm up
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        fn(*args)
+        fn()
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def bench_quad_matmul():
     rng = np.random.default_rng(0)
-    a = (2 * rng.integers(-3, 4, size=(5000, 4, 4, 2))).astype(np.int64)
-    b = (2 * rng.integers(-3, 4, size=(4, 4, 2))).astype(np.int64)
-    cases = [("numpy", lambda: kernels._quad_matmul_batch_np(a, b, 1, 1))]
-    if kernels.HAVE_NUMBA:
-        cases.append(("numba", lambda: kernels._quad_matmul_batch_nb(a, b, 1, 1)))
-    return "quad_matmul_batch (5000 x 4x4)", cases
+    # even numerators over the denominator 4 keep every product in the ring
+    a = 2 * rng.integers(-3, 4, size=(5000, 4, 4, 2))
+    b = 2 * rng.integers(-3, 4, size=(4, 4, 2))
+    return "quad_matmul_batch (5000 x 4x4)", lambda: kernels.quad_matmul_batch(a, b, 5)
 
 
 def bench_ellipsoid_points():
@@ -40,31 +36,21 @@ def bench_ellipsoid_points():
     emb = embedding("H3-primitive")
     w = _window_circumradius(emb, Window("cell"))
     basis = np.vstack([emb.parallel / 16.0, emb.perpendicular / w])
-    cases = [("numpy", lambda: kernels.ellipsoid_points(basis, 2.0))]
-    return "ellipsoid_points (H3 patch, radius 16)", cases
+    return "ellipsoid_points (H3 patch, radius 16)", lambda: kernels.ellipsoid_points(basis, 2.0)
 
 
 def bench_structure_factor():
     rng = np.random.default_rng(1)
     points = rng.normal(size=(4000, 3))
     ks = rng.normal(size=(50, 3))
-    cases = [("numpy", lambda: kernels._structure_factor_np(points, ks))]
-    if kernels.HAVE_NUMBA:
-        cases.append(("numba", lambda: kernels._structure_factor_nb(points, ks)))
-    return "structure_factor (4000 pts x 50 k)", cases
+    return ("structure_factor_sum (4000 pts x 50 k)",
+            lambda: kernels.structure_factor_sum(points, ks))
 
 
 def main():
-    print(f"active backend: {kernels.backend()}")
-    for bench in (bench_quad_matmul, bench_ellipsoid_points,
-                  bench_structure_factor):
-        label, cases = bench()
-        times = {name: timeit(fn) for name, fn in cases}
-        line = "  ".join(f"{name}: {t * 1e3:8.2f} ms" for name, t in times.items())
-        if len(times) == 2:
-            speedup = times["numpy"] / times["numba"]
-            line += f"  speedup: {speedup:.1f}x"
-        print(f"{label:38s} {line}")
+    for bench in (bench_quad_matmul, bench_ellipsoid_points, bench_structure_factor):
+        label, fn = bench()
+        print(f"{label:40s} {timeit(fn) * 1e3:8.2f} ms")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .groups import (
     orbit,
     reflection_matrix,
 )
-from .kernels import backend
 from .modules import (
     QL_NAMES,
     H4Residue,

@@ -216,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_format(p):
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("roots", help="list or count roots")
     p.add_argument("--system", required=True)
@@ -228,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="generate a reflection group")
     p.add_argument("--system", required=True)
-    p.add_argument("--count", action="store_true")
     p.add_argument("--emit", metavar="FILE", help="dump exact matrices as JSON")
     add_format(p)
     p.set_defaults(func=cmd_group)

@@ -224,23 +224,36 @@ def write_patch_csv(patch: Patch, path: str) -> None:
 
 
 def read_patch_csv(path: str) -> Patch:
+    """The patch written by write_patch_csv; DomainError names the path of
+    a file that is empty or malformed."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        meta = next(reader)
-        target = meta[1]
-        window = Window(meta[3], float(meta[5]))
-        radius = float(meta[7])
-        header = next(reader)
-        d = sum(1 for h in header if h.startswith("x"))
-        r = sum(1 for h in header if h.startswith("c"))
-        kappa = ql(target).kappa
-        points, exact, coeffs = [], [], []
-        for row in reader:
-            points.append([float(x) for x in row[:d]])
-            exact.append(ExactVector(
-                parse_element(tok, kappa) for tok in row[d:2 * d]
-            ))
-            coeffs.append([int(x) for x in row[2 * d:]])
+        try:
+            return _read_patch_rows(reader)
+        except (StopIteration, IndexError, ValueError) as exc:
+            detail = str(exc) or "the file ends early"
+            raise DomainError(f"{path}, line {reader.line_num}: "
+                              f"not a patch file: {detail}") from None
+
+
+def _read_patch_rows(reader) -> Patch:
+    meta = next(reader)
+    target = meta[1]
+    window = Window(meta[3], float(meta[5]))
+    radius = float(meta[7])
+    header = next(reader)
+    d = sum(1 for h in header if h.startswith("x"))
+    r = sum(1 for h in header if h.startswith("c"))
+    kappa = ql(target).kappa
+    points, exact, coeffs = [], [], []
+    for row in reader:
+        if len(row) != 2 * d + r:
+            raise ValueError(f"expected {2 * d + r} fields, found {len(row)}")
+        points.append([float(x) for x in row[:d]])
+        exact.append(ExactVector(
+            parse_element(tok, kappa) for tok in row[d:2 * d]
+        ))
+        coeffs.append([int(x) for x in row[2 * d:]])
     return Patch(
         target, window, radius,
         np.array(coeffs, dtype=np.int64),

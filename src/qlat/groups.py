@@ -1,9 +1,8 @@
 """Finite reflection groups as exact matrices over the quadratic field.
 
-H3 and H4 are generated by breadth-first closure of the simple-root
+Every group is generated by breadth-first closure of the simple-root
 reflections; the hot inner loop (batched matrix products in the
-(x + y*sqrt(5))/2 integer encoding) runs through qlat.kernels.  The 2D
-groups are tiny and use plain object arithmetic.
+(x + y*sqrt(kappa))/4 integer encoding) runs through qlat.kernels.
 
 The H4 group is also realized through unit-icosian pairs q1, q2 acting
 as Q -> conj(q1) Q q2 (optionally with quaternion conjugation of Q).
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .quaternions import (
     right_matrix,
 )
 from .ring import DomainError, QuadraticRingElement
-from .roots import RootSystemId, gram, is_quadratic, simple_roots
+from .roots import RootSystemId, gram, is_quadratic, kappa_of, simple_roots
 from .vectors import ExactVector
 
 
@@ -139,40 +137,27 @@ def reflection_matrix(r: ExactVector, g=None) -> GroupElement:
     )
 
 
-# -- compact (m + n*tau)/2 integer encoding -----------------------------
-
-def _elem_to_pair(c: QuadraticRingElement) -> tuple[int, int]:
-    from .ring import golden_parts
-
-    a, b = golden_parts(c)
-    m, n = 2 * a, 2 * b
-    if m.denominator != 1 or n.denominator != 1:
-        raise DomainError("entry is not a half golden integer")
-    return (m.numerator, n.numerator)
-
-
-def _pair_to_elem(m: int, n: int, kappa: int) -> QuadraticRingElement:
-    # (m + n*tau)/2 = (2m + n + n*sqrt(5)) / 4
-    return QuadraticRingElement(2 * m + n, n, kappa, 4)
-
+# -- compact integer encoding ------------------------------------------
+#
+# An entry (p + q*sqrt(kappa))/den with den dividing 4 is stored as its
+# numerator pair over the fixed denominator 4; every group entry has one.
 
 def matrix_to_compact(m: GroupElement) -> np.ndarray:
     d = m.dim
     out = np.empty((d, d, 2), dtype=np.int64)
     for i in range(d):
         for j in range(d):
-            out[i, j] = _elem_to_pair(m.entries[i][j])
+            c = m.entries[i][j]
+            if 4 % c.den:
+                raise DomainError(f"entry {c} has a denominator not dividing 4")
+            out[i, j] = (c.p * (4 // c.den), c.q * (4 // c.den))
     return out
 
 
 def compact_to_matrix(arr: np.ndarray, kappa: int) -> GroupElement:
-    d = arr.shape[0]
     return GroupElement(
-        tuple(
-            tuple(_pair_to_elem(int(arr[i, j, 0]), int(arr[i, j, 1]), kappa)
-                  for j in range(d))
-            for i in range(d)
-        )
+        tuple(QuadraticRingElement(p, q, kappa, 4) for p, q in row)
+        for row in arr.tolist()
     )
 
 
@@ -200,7 +185,7 @@ class ReflectionGroup:
         )
 
 
-def _bfs_compact(gens: list[GroupElement]) -> list[np.ndarray]:
+def _bfs_compact(gens: list[GroupElement], kappa: int) -> list[np.ndarray]:
     d = gens[0].dim
     gen_arrs = [matrix_to_compact(g) for g in gens]
     ident = matrix_to_compact(identity_element(d))
@@ -210,31 +195,13 @@ def _bfs_compact(gens: list[GroupElement]) -> list[np.ndarray]:
         stack = np.stack(frontier)
         frontier = []
         for ga in gen_arrs:
-            prods = kernels.quad_matmul_batch(stack, ga, 1, 1)
+            prods = kernels.quad_matmul_batch(stack, ga, kappa)
             for i in range(prods.shape[0]):
                 key = prods[i].tobytes()
                 if key not in seen:
                     seen[key] = prods[i]
                     frontier.append(prods[i])
     return list(seen.values())
-
-
-def _bfs_objects(gens: list[GroupElement]) -> list[GroupElement]:
-    ident = identity_element(gens[0].dim)
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = m @ g
-                if prod not in seen:
-                    seen.add(prod)
-                    order.append(prod)
-                    new.append(prod)
-        frontier = new
-    return order
 
 
 @lru_cache(maxsize=None)
@@ -247,11 +214,8 @@ def generate(system: RootSystemId) -> ReflectionGroup:
         )
     g = gram(system)
     gens = [reflection_matrix(r, g) for r in simple_roots(system)]
-    if system.family in ("H3", "H4"):
-        arrs = _bfs_compact(gens)
-        elements = [compact_to_matrix(a, 5) for a in arrs]
-    else:
-        elements = _bfs_objects(gens)
+    kappa = kappa_of(system)
+    elements = [compact_to_matrix(a, kappa) for a in _bfs_compact(gens, kappa)]
     return ReflectionGroup(system, elements)
 
 
@@ -302,8 +266,8 @@ def enumerate_h4_quaternion_maps():
         left = matrix_to_compact(GroupElement(left_matrix(qconj(u))))
         # left- and right-multiplication matrices commute, so the batch
         # runs over right factors with a fixed trailing left factor
-        prods = kernels.quad_matmul_batch(right_arrs, left, 1, 1)
-        conj_prods = kernels.quad_matmul_batch(prods, conj, 1, 1)
+        prods = kernels.quad_matmul_batch(right_arrs, left, 5)
+        conj_prods = kernels.quad_matmul_batch(prods, conj, 5)
         raw += 2 * prods.shape[0]
         for i in range(prods.shape[0]):
             seen.add(prods[i].tobytes())

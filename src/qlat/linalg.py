@@ -17,14 +17,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]
-        for i in range(n)
-    ]
-
-
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fraction]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 

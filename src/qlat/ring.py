@@ -9,11 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 
 class DomainError(ValueError):
     """Raised when an operation leaves its mathematical domain."""
+
+
+@lru_cache(maxsize=4096)
+def _fraction_hash(p: int, den: int) -> int:
+    # group matrices repeat a handful of rational entries many times over
+    return hash(Fraction(p, den))
 
 
 def _squarefree(n: int) -> bool:
@@ -142,6 +149,12 @@ class QuadraticRingElement:
             return o
         return self * o.inverse()
 
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return o * self.inverse()
+
     def __pow__(self, n: int) -> "QuadraticRingElement":
         if n < 0:
             return self.inverse() ** (-n)
@@ -171,10 +184,6 @@ class QuadraticRingElement:
 
     def to_triple(self) -> tuple[int, int, int]:
         return (self.p, self.q, self.den)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
 
     def is_ring_integer(self) -> bool:
         """Member of the ring of integers of Q(sqrt(kappa))."""
@@ -211,9 +220,12 @@ class QuadraticRingElement:
         return (self.p, self.q, self.den, self.kappa) == (o.p, o.q, o.den, o.kappa)
 
     def __hash__(self):
-        if self.q == 0:
-            return hash((self.p, 0, self.den))
-        return hash((self.p, self.q, self.den, self.kappa))
+        # a rational value hashes like the equal int or Fraction
+        if self.q:
+            return hash((self.p, self.q, self.den, self.kappa))
+        if self.den == 1:
+            return hash(self.p)
+        return _fraction_hash(self.p, self.den)
 
     def __lt__(self, other):
         return (self - other)._sign() < 0
@@ -242,16 +254,6 @@ class QuadraticRingElement:
 
 
 # -- module-level operations --------------------------------------------
-
-def arith(x: QuadraticRingElement, y: QuadraticRingElement, op: str) -> QuadraticRingElement:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise DomainError(f"unknown op {op!r}")
-
 
 def galois_conjugate(x: QuadraticRingElement) -> QuadraticRingElement:
     return x.conjugate()

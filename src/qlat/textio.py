@@ -64,13 +64,15 @@ def parse_element(text: str, kappa: int = 5) -> QuadraticRingElement:
             body, den = m.group(1), int(m.group(2))
         else:
             body = tok
+    if den == 0:
+        raise DomainError(f"zero denominator in {text!r}")
     a = Fraction(0)
     b = Fraction(0)
     pos = 0
     for part in re.finditer(r"[+-]?[^+-]+", body):
         piece = part.group(0)
-        if not _TERM.match(piece):
-            raise DomainError(f"cannot parse coordinate token {piece!r} in {text!r}")
+        if part.start() != pos or not _TERM.match(piece):
+            raise DomainError(f"cannot parse coordinate {text!r}")
         sign = -1 if piece.startswith("-") else 1
         piece = piece.lstrip("+-")
         if piece.endswith("t"):
@@ -79,6 +81,8 @@ def parse_element(text: str, kappa: int = 5) -> QuadraticRingElement:
         else:
             a += sign * int(piece)
         pos = part.end()
+    if pos != len(body):
+        raise DomainError(f"cannot parse coordinate {text!r}")
     a, b = a / den, b / den
     if kappa == 5:
         # (a + b*tau) back to the sqrt(5) basis

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qlat.cli import main
-from qlat.ring import QuadraticRingElement, golden, tau
+from qlat.ring import DomainError, QuadraticRingElement, golden, tau
 from qlat.textio import (
     format_element,
     format_vector,
@@ -50,6 +50,12 @@ def test_format_parse_round_trip(m, n, den):
     assert parse_element(format_element(c)) == c
 
 
+@pytest.mark.parametrize("text", ["--1", "1+", "1+-t", "+", "2t3", "1/0", "(1+t)/0"])
+def test_parse_rejects_malformed_or_zero_denominator(text):
+    with pytest.raises(DomainError):
+        parse_element(text)
+
+
 def test_vector_round_trip():
     v = parse_exact_vector("1,t,0")
     assert format_vector(v) == "1,t,0"
@@ -72,7 +78,7 @@ def test_roots_json(capsys):
 
 
 def test_group_order(capsys):
-    code, out = run(capsys, "group", "--system", "H3", "--count")
+    code, out = run(capsys, "group", "--system", "H3")
     assert code == 0 and out.strip() == "120"
 
 
@@ -205,6 +211,33 @@ def test_diffract_missing_patch_file(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:") and "missing.csv" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("vector", ["--1,0,0,0", "1+,0,0,0", "1/0,0,0,0"])
+def test_member_rejects_malformed_coordinates(capsys, vector):
+    code = main(["member", "--ql", "H4", f"--vector={vector}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content,line", [
+    ("", 0),
+    ("# target,H3-bcc,window,cell,scale,1.0,radius,3.0\n"
+     "x0,x1,x2,exact0,exact1,exact2,c0,c1,c2,c3,c4,c5\n"
+     "0,0,abc,0,0,0,0,0,0,0,0,0\n", 3),
+], ids=["empty", "bad-row"])
+def test_diffract_rejects_malformed_patch_file(capsys, tmp_path, content, line):
+    patch = tmp_path / "patch.csv"
+    patch.write_text(content)
+    klist = tmp_path / "k.json"
+    klist.write_text("[[0, 0, 0]]")
+    code = main(["diffract", "--in", str(patch), "--k-list", str(klist),
+                 "--out", str(tmp_path / "i.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {patch}, line {line}: not a patch file")
     assert captured.err.count("\n") == 1
 
 

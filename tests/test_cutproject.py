@@ -205,6 +205,22 @@ def test_patch_csv_round_trip(tmp_path):
     assert (back.coeffs == patch.coeffs).all()
 
 
+@pytest.mark.parametrize("cut", ["header", "field", "exact"])
+def test_malformed_patch_csv_names_the_file(tmp_path, cut):
+    path = tmp_path / "patch.csv"
+    write_patch_csv(generate_patch(embedding("H3-bcc"), Window("cell"), 3.0), str(path))
+    lines = path.read_text().splitlines()
+    if cut == "header":
+        lines = lines[:1]
+    elif cut == "field":
+        lines[2] = lines[2].rsplit(",", 1)[0]
+    else:
+        lines[2] = lines[2].replace(",0,", ",1/0,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DomainError, match="patch.csv, line [0-9]+: not a patch file"):
+        read_patch_csv(str(path))
+
+
 # -- diffraction --------------------------------------------------------
 
 PEAK_COEFFS = [

@@ -29,6 +29,22 @@ def test_group_orders(system, order):
     assert generate(system).order == order
 
 
+def _object_closure(system):
+    """Oracle: breadth-first closure in exact object arithmetic."""
+    gens = [reflection_matrix(r, gram(system)) for r in simple_roots(system)]
+    seen = frontier = {identity_element(gens[0].dim)}
+    while frontier:
+        frontier = {m @ g for m in frontier for g in gens} - seen
+        seen = seen | frontier
+    return seen
+
+
+@pytest.mark.parametrize("system", [I2(5), I2(8), I2(10), I2(12), H3],
+                         ids=str)
+def test_generate_matches_object_closure(system):
+    assert set(generate(system).elements) == _object_closure(system)
+
+
 def test_non_quadratic_group_rejected():
     with pytest.raises(DomainError):
         generate(I2(7))

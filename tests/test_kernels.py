@@ -1,4 +1,4 @@
-"""Kernels against their numpy paths, exact arithmetic and brute force."""
+"""Kernels against exact arithmetic, closed forms and brute force."""
 
 import itertools
 
@@ -15,50 +15,41 @@ from qlat.cutproject import (
     embedding,
     generate_patch,
 )
+from qlat.groups import compact_to_matrix, generate, matrix_to_compact
 from qlat.ring import DomainError
+from qlat.roots import H3, H4
 
 
-def test_backend_is_reported():
-    assert kernels.backend() in ("numba", "numpy")
-
-
-def _random_half_integer_matrices(rng, n, d):
-    # even numerators keep products inside the denominator-2 encoding
-    a = 2 * rng.integers(-3, 4, size=(n, d, d, 2))
-    b = 2 * rng.integers(-3, 4, size=(d, d, 2))
-    return a.astype(np.int64), b.astype(np.int64)
-
-
-def test_quad_matmul_paths_agree():
+def test_quad_matmul_matches_object_products():
     rng = np.random.default_rng(1)
-    a, b = _random_half_integer_matrices(rng, 5, 4)
-    got = kernels.quad_matmul_batch(a, b, 1, 1)
-    expected = kernels._quad_matmul_batch_np(a, b, 1, 1)
-    assert (got == expected).all()
+    for kappa in (2, 3, 5):
+        # even numerators: entries (x + y*sqrt(kappa))/2, a ring closed
+        # under products over the denominator-4 encoding
+        a = 2 * rng.integers(-3, 4, size=(5, 4, 4, 2))
+        b = 2 * rng.integers(-3, 4, size=(4, 4, 2))
+        prods = kernels.quad_matmul_batch(a, b, kappa)
+        for i in range(len(a)):
+            expected = compact_to_matrix(a[i], kappa) @ compact_to_matrix(b, kappa)
+            assert compact_to_matrix(prods[i], kappa) == expected
 
 
 def test_quad_matmul_matches_object_arithmetic():
-    from qlat.groups import (
-        compact_to_matrix,
-        matrix_to_compact,
-        generate,
-    )
-    from qlat.roots import H3
-
-    els = generate(H3).elements
-    a = np.stack([matrix_to_compact(els[3]), matrix_to_compact(els[7])])
-    b = matrix_to_compact(els[11])
-    prods = kernels.quad_matmul_batch(a, b, 1, 1)
-    assert compact_to_matrix(prods[0], 5) == els[3] @ els[11]
-    assert compact_to_matrix(prods[1], 5) == els[7] @ els[11]
+    rng = np.random.default_rng(2)
+    for system in (H3, H4):
+        group = generate(system).elements
+        els = [group[i] for i in rng.choice(len(group), size=6)]
+        a = np.stack([matrix_to_compact(g) for g in els[:5]])
+        prods = kernels.quad_matmul_batch(a, matrix_to_compact(els[5]), 5)
+        for i in range(5):
+            assert compact_to_matrix(prods[i], 5) == els[i] @ els[5]
 
 
 def test_quad_matmul_rejects_escape_from_the_ring():
-    a = np.ones((1, 2, 2, 2), dtype=np.int64)
-    b = np.ones((2, 2, 2), dtype=np.int64)
-    b[0, 0, 0] = 2
+    half, quarter = np.array([[[2, 0]]]), np.array([[[1, 0]]])
+    # 1/2 * 1/2 = 1/4 stays over the denominator 4; 1/4 * 1/4 does not
+    assert kernels.quad_matmul_batch(half[None], half, 5).tolist() == [[[[1, 0]]]]
     with pytest.raises(ArithmeticError):
-        kernels.quad_matmul_batch(a, b, 1, 1)
+        kernels.quad_matmul_batch(quarter[None], quarter, 5)
 
 
 # -- ellipsoid enumeration ---------------------------------------------
@@ -147,26 +138,17 @@ def test_patch_enumeration_matches_box_scan_at_drawn_radii(geometry, scale, frac
             == _box_scan(*geometry, scale, radius))
 
 
-def test_min_nonzero_norm_simple_lattice():
-    par = np.diag([1.0, 2.0])
-    assert abs(kernels.min_nonzero_norm(par, [3, 3]) - 1.0) < 1e-12
-
-
-def test_min_norm_paths_agree():
-    rng = np.random.default_rng(3)
-    par = rng.normal(size=(3, 5))
-    got = kernels.min_nonzero_norm(par, [1, 1, 1, 1, 1])
-    expected = kernels._min_norm_np(par, np.array([1, 1, 1, 1, 1]))
-    assert abs(got - expected) < 1e-9
-
-
-def test_structure_factor_paths_agree():
-    rng = np.random.default_rng(4)
-    points = rng.normal(size=(50, 3))
-    ks = rng.normal(size=(6, 3))
-    got = kernels.structure_factor_sum(points, ks)
-    expected = kernels._structure_factor_np(points, ks)
-    assert np.allclose(got, expected)
+def test_structure_factor_matches_finite_chain_closed_form():
+    # N equally spaced points along a: |sum_n exp(i n k.a)|^2 / N^2
+    # = (sin(N q/2) / (N sin(q/2)))^2 with q = k.a
+    n = 13
+    a = np.array([0.6, -1.1, 0.4])
+    points = np.arange(n)[:, None] * a
+    ks = np.random.default_rng(4).normal(size=(20, 3))
+    q = ks @ a
+    expected = (np.sin(n * q / 2) / (n * np.sin(q / 2))) ** 2
+    assert np.allclose(kernels.structure_factor_sum(points, ks), expected,
+                       rtol=0, atol=1e-12)
 
 
 def test_structure_factor_periodic_chain():

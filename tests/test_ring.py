@@ -92,6 +92,27 @@ def test_exact_division(pair):
     assert (a / b) * b == a
 
 
+@given(small_ints, st.integers(min_value=1, max_value=12), st.sampled_from(KAPPAS))
+def test_rational_elements_hash_like_equal_numbers(p, den, kappa):
+    x = QuadraticRingElement(p, 0, kappa, den)
+    f = Fraction(p, den)
+    assert x == f and hash(x) == hash(f)
+    assert len({x, f}) == 1
+    if den == 1:
+        assert x == p and hash(x) == hash(p)
+        assert len({x, p}) == 1
+
+
+@given(any_element, small_ints, st.integers(min_value=1, max_value=12))
+def test_numbers_divide_by_elements(a, p, den):
+    if not a:
+        return
+    assert (1 / a) * a == 1
+    f = Fraction(p, den)
+    assert f / a == QuadraticRingElement.rational(f, a.kappa) / a
+    assert (p / a) * a == p
+
+
 def test_fundamental_units():
     # tau, the silver ratio, and 2 + sqrt(3)
     assert fundamental_unit(5).unit == tau()
