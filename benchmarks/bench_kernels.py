@@ -1,4 +1,4 @@
-"""Time the three numpy kernels.
+"""Time the three numpy kernels and the integer-backed group paths.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run.
@@ -47,8 +47,36 @@ def bench_structure_factor():
             lambda: kernels.structure_factor_sum(points, ks))
 
 
+def bench_generate_h4():
+    from qlat.groups import generate
+    from qlat.roots import H4
+
+    def cold():
+        generate.cache_clear()
+        return generate(H4).elements
+
+    return "generate(H4).elements, cold (14400)", cold
+
+
+def bench_orbit_h4():
+    from qlat.groups import generate, orbit
+    from qlat.roots import H4, roots
+
+    group, root = generate(H4), roots(H4)[0]
+    return "orbit(H4 group, root) (120 images)", lambda: orbit(group, root)
+
+
+def bench_icosian_products():
+    from qlat.quaternions import qmul, unit_icosians
+
+    units = unit_icosians()
+    return ("qmul, all 120^2 unit icosian pairs",
+            lambda: [qmul(a, b) for a in units for b in units])
+
+
 def main():
-    for bench in (bench_quad_matmul, bench_ellipsoid_points, bench_structure_factor):
+    for bench in (bench_quad_matmul, bench_ellipsoid_points, bench_structure_factor,
+                  bench_generate_h4, bench_orbit_h4, bench_icosian_products):
         label, fn = bench()
         print(f"{label:40s} {timeit(fn) * 1e3:8.2f} ms")
 

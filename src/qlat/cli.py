@@ -60,10 +60,7 @@ def cmd_group(args):
         payload = {
             "system": str(system),
             "order": group.order,
-            "matrices": [
-                [[textio.element_json(c) for c in row] for row in g.entries]
-                for g in group
-            ],
+            "matrices": group.entry_triples().tolist(),
         }
         with open(args.emit, "w") as fh:
             json.dump(payload, fh)

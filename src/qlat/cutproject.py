@@ -175,12 +175,17 @@ def generate_patch(emb: Embedding, window: Window, radius: float) -> Patch:
         keep = (qq * qq).sum(axis=1) < window.scale * window.scale
     else:
         keep = np.ones(len(qq), dtype=bool)
-        # one facet at a time keeps memory linear in the candidates
+        # one facet at a time keeps memory linear in the candidates; the
+        # relative slack leaves out points on a facet at every scale
         for nv, support in zip(normals, supports):
-            keep &= np.abs(qq @ nv) < support - 1e-12
+            keep &= np.abs(qq @ nv) < support * (1 - 1e-12)
     coeffs = coeffs[keep]
     pp = coeffs @ emb.parallel.T
     coeffs = coeffs[(pp * pp).sum(axis=1) <= r2]
+    if len(coeffs) > kernels.MAX_PATCH_POINTS:
+        raise DomainError(
+            f"patch would hold {len(coeffs)} points, over the limit of "
+            f"{kernels.MAX_PATCH_POINTS:.3g}; use a smaller radius or window scale")
     qlm = ql(emb.target)
     exact = [qlm.from_basis_coefficients(row) for row in coeffs]
     points = (

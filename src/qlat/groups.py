@@ -1,8 +1,12 @@
 """Finite reflection groups as exact matrices over the quadratic field.
 
-Every group is generated by breadth-first closure of the simple-root
-reflections; the hot inner loop (batched matrix products in the
-(x + y*sqrt(kappa))/4 integer encoding) runs through qlat.kernels.
+A matrix is stored as integers: the numerator pairs (x, y) of its entries
+(x + y*sqrt(kappa))/den over one common denominator, plus kappa; every
+group element has den = 4.  Products, images of vectors, equality and
+hashing work on these integers, through the batched products of
+qlat.kernels.  Every group is generated by breadth-first closure of the
+simple-root reflections and keeps the closure's rows as one
+(order, d, d, 2) int64 array; orbits are one product over that array.
 
 The H4 group is also realized through unit-icosian pairs q1, q2 acting
 as Q -> conj(q1) Q q2 (optionally with quaternion conjugation of Q).
@@ -10,8 +14,8 @@ as Q -> conj(q1) Q q2 (optionally with quaternion conjugation of Q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
@@ -28,87 +32,167 @@ from .roots import RootSystemId, gram, is_quadratic, kappa_of, simple_roots
 from .vectors import ExactVector
 
 
-class GroupElement:
-    """Exact d x d matrix over the coordinate field of its root system."""
+def _int_array(values, shape) -> np.ndarray:
+    """Python ints as int64, or as Python ints (object dtype) when one
+    does not fit."""
+    wide = max(map(abs, values), default=0) > kernels.INT64_MAX
+    return np.array(values, dtype=object if wide else np.int64).reshape(shape)
 
-    __slots__ = ("entries",)
+
+def _pairs_over_common_den(cells):
+    """The numerator pairs of cells, flattened, over their least common
+    denominator, and that denominator."""
+    den = lcm(*(c.den for c in cells))
+    values = []
+    for c in cells:
+        values += (c.p * (den // c.den), c.q * (den // c.den))
+    return values, den
+
+
+def _canonical(numerators: np.ndarray, den: int):
+    """(numerators, den) for the same matrix with den the least multiple of
+    4 that clears every entry."""
+    flat = numerators.ravel().tolist()
+    g = gcd(den, *flat)
+    scale = lcm(4, den // g) // (den // g)
+    return _int_array([x // g * scale for x in flat], numerators.shape), den // g * scale
+
+
+def _radicand(numerators: np.ndarray, kappa: int, other_kappa: int,
+              other_irrational) -> int:
+    """The radicand of the product of a matrix over sqrt(kappa) with a
+    factor over sqrt(other_kappa); DomainError when both are irrational.
+    other_irrational is a callable, called only when the radicands differ."""
+    if kappa == other_kappa or not other_irrational():
+        return kappa
+    if numerators[..., 1].any():
+        raise DomainError(f"mixed radicands: sqrt({kappa}) vs sqrt({other_kappa})")
+    return other_kappa
+
+
+class GroupElement:
+    """Exact d x d matrix over the coordinate field of its root system.
+
+    ``numerators`` is a (d, d, 2) integer array: entry (i, j) is
+    (x + y*sqrt(kappa))/den for (x, y) = numerators[i, j].  The form is
+    canonical -- den is the least multiple of 4 that clears every entry --
+    so equality and hashing compare integers; ``kappa`` counts only when
+    some entry is irrational.
+    """
+
+    __slots__ = ("numerators", "den", "kappa", "_key")
 
     def __init__(self, entries):
-        self.entries = tuple(tuple(row) for row in entries)
+        rows = [[c if isinstance(c, QuadraticRingElement)
+                 else QuadraticRingElement.rational(c) for c in row]
+                for row in entries]
+        cells = [c for row in rows for c in row]
+        kappas = {c.kappa for c in cells if c.q}
+        if len(kappas) > 1:
+            raise DomainError(f"mixed radicands in matrix: {kappas}")
+        kappa = kappas.pop() if kappas else cells[0].kappa
+        values, den = _pairs_over_common_den(cells)
+        numerators = _int_array(values, (len(rows), len(rows), 2))
+        self._fill(*_canonical(numerators, den), kappa)
+
+    def _fill(self, numerators: np.ndarray, den: int, kappa: int) -> None:
+        self.numerators = numerators
+        self.den = den
+        self.kappa = kappa
+        self._key = (den, numerators.tobytes() if numerators.dtype != object
+                     else tuple(numerators.ravel().tolist()))
+
+    @classmethod
+    def _wrap(cls, numerators: np.ndarray, den: int, kappa: int) -> "GroupElement":
+        """The element of numerators already in canonical form."""
+        el = cls.__new__(cls)
+        el._fill(numerators, den, kappa)
+        return el
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.numerators.shape[0]
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as QuadraticRingElement rows, built on each call."""
+        k, den = self.kappa, self.den
+        return tuple(
+            tuple(QuadraticRingElement(x, y, k, den) for x, y in row)
+            for row in self.numerators.tolist()
+        )
+
+    def _irrational(self) -> bool:
+        return bool(self.numerators[..., 1].any())
 
     def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.entries == other.entries
+        return isinstance(other, GroupElement) and self._key == other._key and (
+            self.kappa == other.kappa or not self._irrational())
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self._key)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        d = self.dim
-        return GroupElement(
-            tuple(
-                tuple(
-                    sum(
-                        (self.entries[i][k] * other.entries[k][j] for k in range(d)),
-                        QuadraticRingElement(0),
-                    )
-                    for j in range(d)
-                )
-                for i in range(d)
-            )
-        )
+        kappa = _radicand(self.numerators, self.kappa, other.kappa, other._irrational)
+        product = kernels.quad_product(self.numerators, other.numerators, kappa)
+        return GroupElement._wrap(*_canonical(product, self.den * other.den), kappa)
 
     def apply(self, v: ExactVector) -> ExactVector:
-        d = self.dim
-        return ExactVector(
-            sum((self.entries[i][k] * v.coords[k] for k in range(d)),
-                QuadraticRingElement(0))
-            for i in range(d)
-        )
+        images, den, kappa = _images(self.numerators, self.den, self.kappa, v)
+        return _vector(images.tolist(), den, kappa)
 
     def transpose(self) -> "GroupElement":
-        d = self.dim
-        return GroupElement(
-            tuple(tuple(self.entries[j][i] for j in range(d)) for i in range(d))
-        )
+        return GroupElement._wrap(
+            np.ascontiguousarray(self.numerators.transpose(1, 0, 2)),
+            self.den, self.kappa)
 
     def det(self) -> QuadraticRingElement:
-        d = self.dim
-        if d == 2:
-            e = self.entries
-            return e[0][0] * e[1][1] - e[0][1] * e[1][0]
-        total = QuadraticRingElement(0)
-        for j in range(d):
-            minor = GroupElement(
-                tuple(row[:j] + row[j + 1:] for row in self.entries[1:])
-            )
-            term = self.entries[0][j] * minor.det()
-            total = total + (term if j % 2 == 0 else -term)
-        return total
+        return _det(self.entries)
 
     def is_orthogonal(self, g=None) -> bool:
         """M^T G M == G exactly (G = identity when g is None)."""
-        d = self.dim
         mt = self.transpose()
-        prod = mt @ self if g is None else mt @ GroupElement(g) @ self
-        target = (
-            identity_element(d) if g is None else GroupElement(g)
-        )
-        return prod == target
+        if g is None:
+            return mt @ self == identity_element(self.dim)
+        g = GroupElement(g)
+        return mt @ g @ self == g
 
     def __repr__(self):
         return f"GroupElement(dim={self.dim})"
 
 
+def _det(rows) -> QuadraticRingElement:
+    if len(rows) == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = QuadraticRingElement(0)
+    for j in range(len(rows)):
+        term = rows[0][j] * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def _images(numerators: np.ndarray, den: int, kappa: int, v: ExactVector):
+    """Numerator pairs of numerators/den applied to v, shape (..., d, 2),
+    with their denominator and radicand."""
+    d = numerators.shape[-2]
+    if v.dim != d:
+        raise DomainError(
+            f"cannot apply a {d}x{d} matrix to a {v.dim}-component vector")
+    coords = v.coords
+    kappa = _radicand(numerators, kappa, v.kappa, lambda: any(c.q for c in coords))
+    values, vden = _pairs_over_common_den(coords)
+    images = kernels.quad_product(numerators, _int_array(values, (d, 2)), kappa)
+    return images, den * vden, kappa
+
+
+def _vector(pairs, den: int, kappa: int) -> ExactVector:
+    return ExactVector(QuadraticRingElement(x, y, kappa, den) for x, y in pairs)
+
+
 def identity_element(d: int) -> GroupElement:
-    one = QuadraticRingElement(1)
-    zero = QuadraticRingElement(0)
-    return GroupElement(
-        tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
-    )
+    num = np.zeros((d, d, 2), dtype=np.int64)
+    num[np.arange(d), np.arange(d), 0] = 4
+    return GroupElement._wrap(num, 4, 5)
 
 
 def reflection_matrix(r: ExactVector, g=None) -> GroupElement:
@@ -125,15 +209,12 @@ def reflection_matrix(r: ExactVector, g=None) -> GroupElement:
             for i in range(d)
         ]
         rr = sum((r.coords[i] * gr[i] for i in range(d)), QuadraticRingElement(0))
-    ident = identity_element(d)
     return GroupElement(
         tuple(
-            tuple(
-                ident.entries[i][j] - (r.coords[i] * gr[j] * 2) / rr
-                for j in range(d)
-            )
-            for i in range(d)
+            int(i == j) - (r.coords[i] * gr[j] * 2) / rr
+            for j in range(d)
         )
+        for i in range(d)
     )
 
 
@@ -143,30 +224,24 @@ def reflection_matrix(r: ExactVector, g=None) -> GroupElement:
 # numerator pair over the fixed denominator 4; every group entry has one.
 
 def matrix_to_compact(m: GroupElement) -> np.ndarray:
-    d = m.dim
-    out = np.empty((d, d, 2), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            c = m.entries[i][j]
-            if 4 % c.den:
-                raise DomainError(f"entry {c} has a denominator not dividing 4")
-            out[i, j] = (c.p * (4 // c.den), c.q * (4 // c.den))
-    return out
+    if m.den != 4:
+        raise DomainError("matrix has an entry whose denominator does not divide 4")
+    return np.array(m.numerators, dtype=np.int64)
 
 
 def compact_to_matrix(arr: np.ndarray, kappa: int) -> GroupElement:
-    return GroupElement(
-        tuple(QuadraticRingElement(p, q, kappa, 4) for p, q in row)
-        for row in arr.tolist()
-    )
+    return GroupElement._wrap(np.asarray(arr, dtype=np.int64), 4, kappa)
 
 
-@dataclass
 class ReflectionGroup:
-    system: RootSystemId
-    elements: list[GroupElement]
+    """A finite matrix group whose elements share one (order, d, d, 2)
+    int64 array of numerator pairs over the denominator 4."""
 
-    def __post_init__(self):
+    def __init__(self, system: RootSystemId, numerators: np.ndarray, kappa: int):
+        self.system = system
+        self.kappa = kappa
+        self.numerators = numerators
+        self.elements = [GroupElement._wrap(m, 4, kappa) for m in numerators]
         self._index = {g: i for i, g in enumerate(self.elements)}
 
     @property
@@ -180,28 +255,37 @@ class ReflectionGroup:
         return iter(self.elements)
 
     def compact_byte_set(self) -> frozenset:
-        return frozenset(
-            matrix_to_compact(g).tobytes() for g in self.elements
-        )
+        return frozenset(m.tobytes() for m in self.numerators)
+
+    def entry_triples(self) -> np.ndarray:
+        """(order, d, d, 3) array of the canonical [p, q, den] of every
+        entry (p + q*sqrt(kappa))/den, in element order."""
+        x, y = self.numerators[..., 0], self.numerators[..., 1]
+        g = np.gcd(np.gcd(x, y), 4)
+        return np.stack((x // g, y // g, 4 // g), axis=-1)
 
 
-def _bfs_compact(gens: list[GroupElement], kappa: int) -> list[np.ndarray]:
-    d = gens[0].dim
+def _bfs_compact(gens: list[GroupElement], kappa: int) -> np.ndarray:
+    """Every product of the generators, in breadth-first order."""
     gen_arrs = [matrix_to_compact(g) for g in gens]
-    ident = matrix_to_compact(identity_element(d))
-    seen = {ident.tobytes(): ident}
-    frontier = [ident]
-    while frontier:
-        stack = np.stack(frontier)
-        frontier = []
-        for ga in gen_arrs:
-            prods = kernels.quad_matmul_batch(stack, ga, kappa)
-            for i in range(prods.shape[0]):
-                key = prods[i].tobytes()
-                if key not in seen:
-                    seen[key] = prods[i]
-                    frontier.append(prods[i])
-    return list(seen.values())
+    ident = matrix_to_compact(identity_element(gens[0].dim))
+    size = ident.nbytes
+    seen = {ident.tobytes()}
+    frontier = ident[None]
+    levels = [frontier]
+    while len(frontier):
+        prods = np.concatenate(
+            [kernels.quad_matmul_batch(frontier, ga, kappa) for ga in gen_arrs])
+        raw = prods.tobytes()
+        new = []
+        for i in range(len(prods)):
+            key = raw[i * size:(i + 1) * size]
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        frontier = prods[new]
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 @lru_cache(maxsize=None)
@@ -215,12 +299,15 @@ def generate(system: RootSystemId) -> ReflectionGroup:
     g = gram(system)
     gens = [reflection_matrix(r, g) for r in simple_roots(system)]
     kappa = kappa_of(system)
-    elements = [compact_to_matrix(a, kappa) for a in _bfs_compact(gens, kappa)]
-    return ReflectionGroup(system, elements)
+    return ReflectionGroup(system, _bfs_compact(gens, kappa), kappa)
 
 
 def orbit(group: ReflectionGroup, v: ExactVector) -> frozenset:
-    return frozenset(g.apply(v) for g in group)
+    """The distinct images of v: one batched integer product over the
+    whole group, then exact vectors for the distinct rows only."""
+    images, den, kappa = _images(group.numerators, 4, group.kappa, v)
+    rows = {tuple(r) for r in images.reshape(len(images), -1).tolist()}
+    return frozenset(_vector(zip(r[::2], r[1::2]), den, kappa) for r in rows)
 
 
 # -- the quaternion-pair realization of the H4 group --------------------
@@ -238,14 +325,10 @@ def h4_element_from_quaternions(
 
 
 def _quaternion_conjugation_matrix() -> GroupElement:
-    one = QuadraticRingElement(1)
-    zero = QuadraticRingElement(0)
-    rows = []
-    for i in range(4):
-        rows.append(tuple(
-            (one if i == 0 else -one) if i == j else zero for j in range(4)
-        ))
-    return GroupElement(rows)
+    return GroupElement(
+        [(1 if i == 0 else -1) if i == j else 0 for j in range(4)]
+        for i in range(4)
+    )
 
 
 def enumerate_h4_quaternion_maps():

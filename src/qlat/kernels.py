@@ -1,8 +1,9 @@
 """Hot numeric kernels in numpy.
 
 The exact-arithmetic layers never come through here -- only integer
-matrix algebra in the (x + y*sqrt(kappa))/4 encoding, float enumeration
-of the integer points in an ellipsoid and structure-factor sums.
+matrix algebra on the numerators of (x + y*sqrt(kappa))/den entries,
+float enumeration of the integer points in an ellipsoid and
+structure-factor sums.
 """
 
 from __future__ import annotations
@@ -14,24 +15,45 @@ import numpy as np
 from .ring import DomainError
 
 
-# -- batched matrix product over (x + y*sqrt(kappa))/4 -------------------
+# -- matrix products over (x + y*sqrt(kappa)) ---------------------------
 #
-# A matrix is a (d, d, 2) int64 array of numerator pairs (x, y) over the
-# fixed denominator 4.  The product of two such matrices has denominator
-# 16; group matrices always reduce back to denominator 4, which
+# A matrix is a (d, d, 2) integer array of numerator pairs (x, y) over a
+# common denominator; the numerators of a product are products of
+# numerators.  Group matrices use the fixed denominator 4: the product of
+# two has denominator 16 and always reduces back to 4, which
 # quad_matmul_batch asserts.
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def quad_product(a: np.ndarray, b: np.ndarray, kappa: int) -> np.ndarray:
+    """Numerator pairs of a @ b for a of shape (..., d, d, 2) and b of shape
+    (d, 2) or (d, d, 2); in Python ints (object dtype) when int64 could
+    overflow.
+
+    One integer matmul: the pairs of a, read as rows of length 2d, meet
+    the rows (bx, by) and (kappa*by, bx) of b, since
+    (ax + ay*s)(bx + by*s) = ax*bx + kappa*ay*by + (ax*by + ay*bx)*s
+    for s = sqrt(kappa).
+    """
+    d = a.shape[-2]
+    wide = object in (a.dtype, b.dtype) or (
+        int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+        * d * (kappa + 1) > INT64_MAX)
+    dtype = object if wide else np.int64
+    pairs = b.reshape(d, 1, -1, 2).astype(dtype, copy=False)
+    w = np.concatenate((pairs, pairs[..., ::-1] * (kappa, 1)), axis=1).reshape(2 * d, -1)
+    rows = a.reshape(a.shape[:-2] + (2 * d,)).astype(dtype, copy=False)
+    return (rows @ w).reshape(a.shape[:-2] + b.shape[1:])
+
 
 def quad_matmul_batch(A: np.ndarray, B: np.ndarray, kappa: int) -> np.ndarray:
     """(n,d,d,2) @ (d,d,2) -> (n,d,d,2), all over denominator 4."""
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    ax, ay = A[..., 0], A[..., 1]
-    bx, by = B[..., 0], B[..., 1]
-    cx = ax @ bx + kappa * (ay @ by)
-    cy = ax @ by + ay @ bx
-    if (cx & 3).any() or (cy & 3).any():
+    c = quad_product(np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64),
+                     kappa)
+    if (c & 3).any():
         raise ArithmeticError("product left the quarter-integer ring")
-    return np.stack((cx >> 2, cy >> 2), axis=-1)
+    return c >> 2
 
 
 # -- integer points of an ellipsoid (Fincke-Pohst) ----------------------
@@ -40,6 +62,10 @@ def quad_matmul_batch(A: np.ndarray, B: np.ndarray, kappa: int) -> np.ndarray:
 
 MAX_CANDIDATES = 3_000_000
 """Enumerations expected to hold more live vectors than this are refused."""
+
+MAX_PATCH_POINTS = 100_000
+"""Patches with more accepted points than this are refused before their
+exact coordinates are built (about 250 us per point)."""
 
 
 def _widest_level(diag: np.ndarray, bound: float) -> float:
@@ -69,7 +95,10 @@ def ellipsoid_points(basis: np.ndarray, bound: float) -> np.ndarray:
     """
     basis = np.asarray(basis, dtype=np.float64)
     n = basis.shape[1]
-    u = np.linalg.qr(basis, mode="r")
+    # |basis @ c| does not depend on the row order, and rows sorted by
+    # decreasing size keep the factor accurate when their scales differ by
+    # many orders of magnitude (Cox and Higham, BIT 38 (1998) 24)
+    u = np.linalg.qr(basis[np.argsort(-np.abs(basis).max(axis=1))], mode="r")
     u *= np.where(np.diag(u) < 0, -1.0, 1.0)[:, None]
     diag = np.diag(u)
     widest = _widest_level(diag, bound)

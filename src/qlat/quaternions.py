@@ -8,6 +8,7 @@ delegates to the H4 quasilattice constraint machinery.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 from .ring import DomainError, QuadraticRingElement
 from .roots import H4, roots
@@ -20,9 +21,9 @@ class GoldenQuaternion:
     __slots__ = ("w", "x", "y", "z")
 
     def __init__(self, w, x, y, z):
-        conv = lambda c: c if isinstance(c, QuadraticRingElement) else \
-            QuadraticRingElement.rational(c)
-        self.w, self.x, self.y, self.z = conv(w), conv(x), conv(y), conv(z)
+        self.w, self.x, self.y, self.z = [
+            c if isinstance(c, QuadraticRingElement)
+            else QuadraticRingElement.rational(c) for c in (w, x, y, z)]
 
     @staticmethod
     def from_vector(v: ExactVector) -> "GoldenQuaternion":
@@ -63,12 +64,45 @@ class GoldenQuaternion:
 
 
 def qmul(a: GoldenQuaternion, b: GoldenQuaternion) -> GoldenQuaternion:
-    """Hamilton product."""
-    return GoldenQuaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+    """Hamilton product, on integer numerators over a common denominator.
+
+    With a = (ap + aq*sqrt(kappa))/da componentwise and b likewise, the
+    product is (ap*bp + kappa*aq*bq + (ap*bq + aq*bp)*sqrt(kappa))/(da*db)
+    in Hamilton products of integer 4-tuples.
+    """
+    ca, cb = a.components(), b.components()
+    kappas = {c.kappa for c in ca + cb if c.q}
+    if len(kappas) > 1:
+        raise DomainError(f"mixed radicands in quaternion product: {kappas}")
+    kappa = kappas.pop() if kappas else a.w.kappa
+    ap, aq, da = _numerators(ca)
+    bp, bq, db = _numerators(cb)
+    den = da * db
+    return GoldenQuaternion(*[
+        QuadraticRingElement(u + kappa * v, s + t, kappa, den)
+        for u, v, s, t in zip(_hamilton(ap, bp), _hamilton(aq, bq),
+                              _hamilton(ap, bq), _hamilton(aq, bp))
+    ])
+
+
+def _numerators(components):
+    """(p numerators, q numerators, common denominator) of four components."""
+    w, x, y, z = components
+    den = lcm(w.den, x.den, y.den, z.den)
+    sw, sx, sy, sz = den // w.den, den // x.den, den // y.den, den // z.den
+    return ((w.p * sw, x.p * sx, y.p * sy, z.p * sz),
+            (w.q * sw, x.q * sx, y.q * sy, z.q * sz), den)
+
+
+def _hamilton(a, b):
+    """Hamilton product of two integer 4-tuples (w, x, y, z)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
     )
 
 

@@ -19,7 +19,7 @@ class DomainError(ValueError):
 
 @lru_cache(maxsize=4096)
 def _fraction_hash(p: int, den: int) -> int:
-    # group matrices repeat a handful of rational entries many times over
+    # vectors and quaternions repeat a handful of rational coordinates
     return hash(Fraction(p, den))
 
 

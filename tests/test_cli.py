@@ -91,6 +91,24 @@ def test_group_emit(capsys, tmp_path):
     assert len(data["matrices"]) == 10
 
 
+@pytest.mark.parametrize("system", ["I2-5", "H3"])
+def test_group_emit_matches_object_triples(capsys, tmp_path, system):
+    from qlat.groups import generate
+    from qlat.roots import RootSystemId
+
+    group = generate(RootSystemId.parse(system))
+    path = tmp_path / "matrices.json"
+    assert run(capsys, "group", "--system", system, "--emit", str(path))[0] == 0
+    # the [p, q, den] of each entry as a canonical object, in element order
+    matrices = [
+        [[list(QuadraticRingElement(x, y, group.kappa, 4).to_triple())
+          for x, y in row] for row in g.numerators.tolist()]
+        for g in group
+    ]
+    expected = {"system": system, "order": group.order, "matrices": matrices}
+    assert path.read_text() == json.dumps(expected)
+
+
 def test_icosians_check_closure(capsys):
     code, out = run(capsys, "icosians", "--check-closure")
     assert code == 0
@@ -194,6 +212,17 @@ def test_project_refuses_unbounded_work(capsys, tmp_path):
     assert code == 1
     assert captured.err.startswith("error:") and "limit" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_project_refuses_too_many_points(capsys, tmp_path):
+    path = tmp_path / "x.csv"
+    code = main(["project", "--target", "H4", "--window", "ball",
+                 "--radius", "10", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "points" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not path.exists()
 
 
 def _patch_file(capsys, tmp_path):

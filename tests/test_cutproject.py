@@ -17,7 +17,7 @@ from qlat.cutproject import (
     structure_factor,
     write_patch_csv,
 )
-from qlat.modules import membership, ql
+from qlat.modules import QLModule, membership, ql
 from qlat.quaternions import GoldenQuaternion, unit_icosians
 from qlat.ring import DomainError, QuadraticRingElement, tau
 from qlat.vectors import ExactVector
@@ -157,6 +157,22 @@ def test_huge_patch_refused_before_any_work():
     with pytest.raises(DomainError, match="limit"):
         generate_patch(emb, Window("ball"), 1e4)
     assert time.perf_counter() - start < 1.0
+
+
+def test_patch_with_too_many_points_refused_before_materialising(monkeypatch):
+    def refuse(self, coeffs):
+        raise AssertionError("exact points built")
+
+    monkeypatch.setattr(QLModule, "from_basis_coefficients", refuse)
+    # H4 ball R=10: about 4e5 candidates, 161521 accepted points
+    with pytest.raises(DomainError, match="points, over the limit"):
+        generate_patch(embedding("H4"), Window("ball"), 10.0)
+
+
+def test_tiny_window_scale_leaves_only_the_origin():
+    # window rows ~1e300 beside radius rows ~0.2: the factor stays exact
+    patch = generate_patch(embedding("H3-primitive"), Window("cell", 1e-300), 5)
+    assert patch.coeffs.tolist() == [[0] * 6]
 
 
 def test_patch_points_respect_radius_and_window():

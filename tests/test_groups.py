@@ -2,9 +2,14 @@
 quaternion-pair realization of the largest group."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exact_oracle import object_apply, object_matmul
+from qlat import groups
 from qlat.groups import (
     GroupElement,
     enumerate_h4_quaternion_maps,
@@ -15,6 +20,7 @@ from qlat.groups import (
     orbit,
     reflection_matrix,
 )
+from qlat.modules import ql
 from qlat.quaternions import unit_icosians
 from qlat.ring import DomainError, QuadraticRingElement, tau
 from qlat.roots import H3, H4, I2, gram, roots, simple_roots
@@ -31,10 +37,11 @@ def test_group_orders(system, order):
 
 def _object_closure(system):
     """Oracle: breadth-first closure in exact object arithmetic."""
-    gens = [reflection_matrix(r, gram(system)) for r in simple_roots(system)]
-    seen = frontier = {identity_element(gens[0].dim)}
+    gens = [reflection_matrix(r, gram(system)).entries
+            for r in simple_roots(system)]
+    seen = frontier = {identity_element(len(gens[0])).entries}
     while frontier:
-        frontier = {m @ g for m in frontier for g in gens} - seen
+        frontier = {object_matmul(m, g) for m in frontier for g in gens} - seen
         seen = seen | frontier
     return seen
 
@@ -42,7 +49,7 @@ def _object_closure(system):
 @pytest.mark.parametrize("system", [I2(5), I2(8), I2(10), I2(12), H3],
                          ids=str)
 def test_generate_matches_object_closure(system):
-    assert set(generate(system).elements) == _object_closure(system)
+    assert {g.entries for g in generate(system)} == _object_closure(system)
 
 
 def test_non_quadratic_group_rejected():
@@ -132,3 +139,141 @@ def test_pair_and_negated_pair_give_the_same_map():
     b = h4_element_from_quaternions(-q1, -q2)
     assert a == b
     assert matrix_to_compact(a).tobytes() == matrix_to_compact(b).tobytes()
+
+
+# -- the integer representation against exact object arithmetic ---------
+
+SYSTEMS = {I2(5): "I2-5", I2(8): "I2-8", I2(12): "I2-12", H3: "H3-primitive",
+           H4: "H4"}
+
+
+def _test_vector(system, kind, rng):
+    """A quasilattice member, a rational vector or one with coordinates
+    near 10^30 (beyond int64), all in the system's coordinate ring."""
+    qlm = ql(SYSTEMS[system])
+    if kind == "member":
+        return qlm.from_basis_coefficients(
+            [rng.randint(-5, 5) for _ in range(qlm.rank)])
+    if kind == "rational":
+        return ExactVector(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                           for _ in range(qlm.dim))
+    big = 10 ** 30
+    return ExactVector(
+        QuadraticRingElement(big + rng.randint(-99, 99), big - rng.randint(0, 99),
+                             qlm.kappa, rng.randint(1, 8))
+        for _ in range(qlm.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from(list(SYSTEMS)),
+       kind=st.sampled_from(["member", "rational", "huge"]),
+       seed=st.integers(0, 2 ** 32))
+def test_apply_matches_object_arithmetic(system, kind, seed):
+    rng = random.Random(seed)
+    g = rng.choice(generate(system).elements)
+    v = _test_vector(system, kind, rng)
+    assert g.apply(v) == object_apply(g.entries, v)
+
+
+@pytest.mark.parametrize("kind", ["member", "rational", "huge"])
+@pytest.mark.parametrize("system", [I2(5), I2(8), I2(12), H3], ids=str)
+def test_orbit_matches_object_arithmetic(system, kind):
+    group = generate(system)
+    v = _test_vector(system, kind, random.Random(5))
+    assert orbit(group, v) == frozenset(object_apply(g.entries, v) for g in group)
+
+
+@pytest.mark.parametrize("kind", ["rational", "huge"])
+def test_h4_orbit_matches_object_arithmetic(kind):
+    group = generate(H4)
+    v = _test_vector(H4, kind, random.Random(6))
+    expected = frozenset(object_apply(g.entries, v) for g in group)
+    assert orbit(group, v) == expected and len(expected) > 1
+
+
+def _entry(p, q, kappa, den):
+    return QuadraticRingElement(p, q, kappa, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(2, 4), kappa=st.sampled_from([2, 3, 5]),
+       scale=st.sampled_from([1, 10 ** 20]))
+def test_matmul_matches_object_arithmetic(data, d, kappa, scale):
+    # denominators 1-8 leave the group encoding; 10^20 leaves int64
+    cell = st.builds(lambda p, q, den: _entry(scale * p, q, kappa, den),
+                     st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 8))
+    matrix = st.lists(st.lists(cell, min_size=d, max_size=d), min_size=d, max_size=d)
+    a, b = data.draw(matrix), data.draw(matrix)
+    product = GroupElement(a) @ GroupElement(b)
+    assert product.entries == object_matmul(a, b)
+    assert product == GroupElement(object_matmul(a, b))
+
+
+@pytest.mark.parametrize("system", list(SYSTEMS), ids=str)
+def test_integer_elements_equal_and_hash_like_entry_built_ones(system):
+    group = generate(system)
+    for g in random.Random(8).sample(group.elements, 10):
+        built = GroupElement(g.entries)
+        assert built == g and hash(built) == hash(g) and built in group
+        assert matrix_to_compact(built).tobytes() == matrix_to_compact(g).tobytes()
+    assert group.compact_byte_set() == frozenset(
+        matrix_to_compact(GroupElement(g.entries)).tobytes() for g in group)
+
+
+def test_rational_matrices_ignore_their_kappa_label():
+    def diag(kappa, q=0):
+        return GroupElement([[_entry(1, q, kappa, 2), _entry(0, 0, kappa, 1)],
+                             [_entry(0, 0, kappa, 1), _entry(-3, 0, kappa, 1)]])
+    assert diag(2) == diag(5) and hash(diag(2)) == hash(diag(5))
+    assert len({diag(2), diag(3), diag(5)}) == 1
+    assert diag(2, q=1) != diag(5, q=1)
+    assert diag(5, q=1) == GroupElement(diag(5, q=1).entries)
+
+
+def _irrational_element(system):
+    return next(g for g in generate(system)
+                if any(c.q for row in g.entries for c in row))
+
+
+def test_apply_refuses_a_vector_of_another_dimension():
+    g = _irrational_element(H3)
+    with pytest.raises(DomainError, match="3x3"):
+        g.apply(roots(H4)[0])
+    with pytest.raises(DomainError, match="3x3"):
+        g.apply(ExactVector((1, 2)))
+    with pytest.raises(DomainError, match="3x3"):
+        orbit(generate(H3), roots(H4)[0])
+
+
+def test_apply_refuses_another_radicand():
+    v = ExactVector((QuadraticRingElement(0, 1, 2), 1, 0))
+    with pytest.raises(DomainError):
+        _irrational_element(H3).apply(v)
+    with pytest.raises(DomainError):
+        orbit(generate(H3), v)
+
+
+def test_integer_paths_build_no_entries(monkeypatch):
+    group = generate(H4)
+    g, v = group.elements[77], roots(H4)[3]
+
+    def refuse(self):
+        raise AssertionError("entries built")
+
+    monkeypatch.setattr(GroupElement, "entries", property(refuse))
+    assert len(orbit(group, v)) == 120
+    assert g.apply(v) in frozenset(roots(H4))
+    assert g @ g in group and g in group
+    assert len(group.compact_byte_set()) == 14400
+
+
+def test_generate_redoes_the_closure_after_cache_clear(monkeypatch):
+    calls = []
+    bfs = groups._bfs_compact
+    monkeypatch.setattr(groups, "_bfs_compact",
+                        lambda *args: calls.append(args) or bfs(*args))
+    first = generate(H3)
+    generate.cache_clear()
+    second = generate(H3)
+    assert len(calls) == 1 and second is not first
+    assert second.compact_byte_set() == first.compact_byte_set()

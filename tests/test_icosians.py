@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exact_oracle import object_qmul
 from qlat.quaternions import (
     GoldenQuaternion,
     is_in_icosian_ring,
@@ -139,3 +142,41 @@ def test_require_unit_rejects_non_units():
     t = tau()
     with pytest.raises(DomainError):
         require_unit(GoldenQuaternion(t, 0, 0, 0))
+
+
+def _quaternions(kappa):
+    """Random quaternions over sqrt(kappa) with denominators 1-8."""
+    component = st.builds(
+        lambda p, q, den: QuadraticRingElement(p, q, kappa, den),
+        st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 8))
+    return st.builds(GoldenQuaternion, component, component, component, component)
+
+
+def _assert_same_components(got, want):
+    for c, e in zip(got.components(), want.components()):
+        assert (c.p, c.q, c.den) == (e.p, e.q, e.den)
+        if e.q:
+            assert c.kappa == e.kappa
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_qmul_matches_object_arithmetic_on_golden_quaternions(data):
+    a, b = data.draw(_quaternions(5)), data.draw(_quaternions(5))
+    _assert_same_components(qmul(a, b), object_qmul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kappa=st.sampled_from([2, 3]))
+def test_qmul_matches_object_arithmetic_over_other_radicands(data, kappa):
+    a, b = data.draw(_quaternions(kappa)), data.draw(_quaternions(kappa))
+    _assert_same_components(qmul(a, b), object_qmul(a, b))
+
+
+def test_qmul_refuses_mixed_radicands():
+    a = GoldenQuaternion(QuadraticRingElement(1, 1, 2), 0, 0, 0)
+    b = GoldenQuaternion(0, QuadraticRingElement(0, 1, 5), 0, 0)
+    with pytest.raises(DomainError):
+        object_qmul(a, b)
+    with pytest.raises(DomainError):
+        qmul(a, b)
