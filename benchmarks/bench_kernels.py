@@ -1,10 +1,14 @@
-"""Time the three numpy kernels and the integer-backed group paths.
+"""Time the three numpy kernels, the integer-backed group paths and the
+scalar module coordinates.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
-gives the best of five runs after one warm-up run.
+gives the best of five runs after one warm-up run; the scalar lines make
+1000 calls, so their milliseconds read as microseconds per call.
 """
 
+import random
 import time
+from functools import partial
 
 import numpy as np
 
@@ -74,9 +78,28 @@ def bench_icosian_products():
             lambda: [qmul(a, b) for a in units for b in units])
 
 
+def bench_membership(name):
+    from qlat.modules import membership, ql, random_member
+
+    qlm, rng = ql(name), random.Random(0)
+    vs = [random_member(qlm, rng) for _ in range(1000)]
+    return f"membership({name}), 1000 members", lambda: [membership(qlm, v) for v in vs]
+
+
+def bench_from_basis_coefficients_h4():
+    from qlat.modules import ql
+
+    qlm, rng = ql("H4"), random.Random(0)
+    rows = [[rng.randint(-6, 6) for _ in range(8)] for _ in range(1000)]
+    return ("from_basis_coefficients(H4), 1000 rows",
+            lambda: [qlm.from_basis_coefficients(c) for c in rows])
+
+
 def main():
     for bench in (bench_quad_matmul, bench_ellipsoid_points, bench_structure_factor,
-                  bench_generate_h4, bench_orbit_h4, bench_icosian_products):
+                  bench_generate_h4, bench_orbit_h4, bench_icosian_products,
+                  partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
+                  bench_from_basis_coefficients_h4):
         label, fn = bench()
         print(f"{label:40s} {timeit(fn) * 1e3:8.2f} ms")
 

@@ -172,7 +172,8 @@ def generate_patch(emb: Embedding, window: Window, radius: float) -> Patch:
         np.vstack([emb.parallel / math.sqrt(r2), emb.perpendicular / w]), 2.0)
     qq = coeffs @ emb.perpendicular.T
     if window.shape == "ball":
-        keep = (qq * qq).sum(axis=1) < window.scale * window.scale
+        # dividing first keeps the test alive where scale**2 underflows
+        keep = ((qq / window.scale) ** 2).sum(axis=1) < 1
     else:
         keep = np.ones(len(qq), dtype=bool)
         # one facet at a time keeps memory linear in the candidates; the
@@ -187,7 +188,7 @@ def generate_patch(emb: Embedding, window: Window, radius: float) -> Patch:
             f"patch would hold {len(coeffs)} points, over the limit of "
             f"{kernels.MAX_PATCH_POINTS:.3g}; use a smaller radius or window scale")
     qlm = ql(emb.target)
-    exact = [qlm.from_basis_coefficients(row) for row in coeffs]
+    exact = [qlm.from_basis_coefficients(row) for row in coeffs.tolist()]
     points = (
         np.array([v.to_floats() for v in exact])
         if exact else np.zeros((0, qlm.dim))

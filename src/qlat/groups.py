@@ -29,7 +29,7 @@ from .quaternions import (
 )
 from .ring import DomainError, QuadraticRingElement
 from .roots import RootSystemId, gram, is_quadratic, kappa_of, simple_roots
-from .vectors import ExactVector
+from .vectors import ExactVector, numerators_over_common_den
 
 
 def _int_array(values, shape) -> np.ndarray:
@@ -39,14 +39,11 @@ def _int_array(values, shape) -> np.ndarray:
     return np.array(values, dtype=object if wide else np.int64).reshape(shape)
 
 
-def _pairs_over_common_den(cells):
-    """The numerator pairs of cells, flattened, over their least common
-    denominator, and that denominator."""
-    den = lcm(*(c.den for c in cells))
-    values = []
-    for c in cells:
-        values += (c.p * (den // c.den), c.q * (den // c.den))
-    return values, den
+def _pair_array(cells, shape) -> tuple[np.ndarray, int]:
+    """The numerator pairs of cells over their least common denominator,
+    as an array of shape (..., 2), and that denominator."""
+    ps, qs, den = numerators_over_common_den(cells)
+    return _int_array(ps + qs, (2, -1)).T.reshape(shape), den
 
 
 def _canonical(numerators: np.ndarray, den: int):
@@ -91,8 +88,7 @@ class GroupElement:
         if len(kappas) > 1:
             raise DomainError(f"mixed radicands in matrix: {kappas}")
         kappa = kappas.pop() if kappas else cells[0].kappa
-        values, den = _pairs_over_common_den(cells)
-        numerators = _int_array(values, (len(rows), len(rows), 2))
+        numerators, den = _pair_array(cells, (len(rows), len(rows), 2))
         self._fill(*_canonical(numerators, den), kappa)
 
     def _fill(self, numerators: np.ndarray, den: int, kappa: int) -> None:
@@ -180,8 +176,8 @@ def _images(numerators: np.ndarray, den: int, kappa: int, v: ExactVector):
             f"cannot apply a {d}x{d} matrix to a {v.dim}-component vector")
     coords = v.coords
     kappa = _radicand(numerators, kappa, v.kappa, lambda: any(c.q for c in coords))
-    values, vden = _pairs_over_common_den(coords)
-    images = kernels.quad_product(numerators, _int_array(values, (d, 2)), kappa)
+    pairs, vden = _pair_array(coords, (d, 2))
+    images = kernels.quad_product(numerators, pairs, kappa)
     return images, den * vden, kappa
 
 

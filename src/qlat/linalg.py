@@ -17,10 +17,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
-
-
 def mat_inverse(a: Sequence[Sequence[Fraction]]) -> Matrix:
     n = len(a)
     aug = [[Fraction(x) for x in row] + identity(n)[i] for i, row in enumerate(a)]
@@ -57,25 +53,6 @@ def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
                 f = m[r][col] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return sign * result
-
-
-def rank(a: Sequence[Sequence[Fraction]]) -> int:
-    rows = [[Fraction(x) for x in row] for row in a]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
 
 
 def hnf_rows(gen_rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -2,9 +2,12 @@
 
 Each quasilattice is represented by its conventional generating frame
 (six icosahedron vertex vectors for H3, the eight half/half-tau unit
-vectors for H4, the first four zeta powers for the 2D rows) plus a
-coefficient rule, together with a true Z-basis of the coefficient
-lattice used for exact membership, rescaling and index computations.
+vectors for H4, the first four zeta powers for the 2D rows) and a true
+Z-basis of the module, given by its frame coefficients.  The basis
+encodes the paper's coefficient rule (unrestricted, even sum, all
+integer or all half-integer, H4 mod-2 parity), so membership, basis and
+frame coordinates, rescaling and index computations are integer
+matrix-vector products on that basis.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from . import linalg
@@ -26,7 +31,7 @@ from .roots import (
     gram,
     roots,
 )
-from .vectors import ExactVector
+from .vectors import ExactVector, numerators_over_common_den
 
 QL_NAMES = (
     "I2-5", "I2-8", "I2-12",
@@ -86,7 +91,17 @@ class H4Residue:
 
 
 class QLModule:
-    """A reflection quasilattice as a rank-2d integer module."""
+    """A reflection quasilattice as a rank-2d integer module.
+
+    A vector with coordinates (p_i + q_i*sqrt(kappa))/den is read as the
+    integer vector x = (p_1, ..., p_d, q_1, ..., q_d) over den.  The module
+    keeps its member Z-basis as the integer columns of such vectors over
+    one common denominator, and the inverse of that basis as an integer
+    matrix N over a denominator D, so the basis coefficients of x/den are
+    N x / (D den): a vector is a member exactly when they are integers.
+    ``member_basis_coeffs`` (integer rows over ``member_basis_den``) gives
+    each basis vector in the frame and turns basis into frame coefficients.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -97,44 +112,57 @@ class QLModule:
         self.gram = gram(self.system)
         self.frame = _frame(name)
         self.kappa = self.frame[0].kappa
-        # rational 2d x r matrix with frame vectors as columns
-        cols = [v.expand() for v in self.frame]
-        self._frame_matrix = [
-            [cols[j][i] for j in range(self.rank)] for i in range(self.rank)
+        frame_cols, frame_den = _columns(self.frame)
+        self.member_basis_coeffs, self.member_basis_den = _member_basis_coeffs(
+            name, frame_cols, frame_den)
+        # frame columns times the transposed coefficient rows
+        self._basis_rows = [
+            [sum(map(mul, row, coeffs)) for coeffs in self.member_basis_coeffs]
+            for row in frame_cols
         ]
-        self._frame_inv = linalg.mat_inverse(self._frame_matrix)
-        self.member_basis_coeffs = _member_basis_coeffs(name, self.frame)
+        self._basis_den = frame_den * self.member_basis_den
+        self._frame_rows = [list(col) for col in zip(*self.member_basis_coeffs)]
+        self._inverse, self._inverse_den = _integer_inverse(
+            self._basis_rows, self._basis_den)
         self.member_basis = [
-            _combine(self.frame, row) for row in self.member_basis_coeffs
+            self.from_basis_coefficients([int(i == j) for j in range(self.rank)])
+            for i in range(self.rank)
         ]
-        bcols = [v.expand() for v in self.member_basis]
-        self._basis_matrix = [
-            [bcols[j][i] for j in range(self.rank)] for i in range(self.rank)
-        ]
-        self._basis_inv = linalg.mat_inverse(self._basis_matrix)
 
     # -- coordinates ---------------------------------------------------
 
-    def frame_coefficients(self, v: ExactVector) -> tuple[Fraction, ...]:
+    def _basis_numerators(self, v: ExactVector) -> tuple[list[int], int]:
+        """Numerators of v's basis coefficients over one denominator."""
         if v.dim != self.dim:
             raise DomainError("dimension mismatch")
         if any(c.q for c in v.coords) and v.kappa != self.kappa:
             raise DomainError(
                 f"vector ring sqrt({v.kappa}) does not match QL ring sqrt({self.kappa})"
             )
-        return tuple(linalg.mat_vec(self._frame_inv, v.expand()))
+        return _solve(self._inverse, self._inverse_den, v)
+
+    def _frame_values(self, numerators, den: int) -> tuple[Fraction, ...]:
+        den *= self.member_basis_den
+        return tuple(Fraction(sum(map(mul, row, numerators)), den)
+                     for row in self._frame_rows)
+
+    def frame_coefficients(self, v: ExactVector) -> tuple[Fraction, ...]:
+        return self._frame_values(*self._basis_numerators(v))
 
     def basis_coefficients(self, v: ExactVector) -> tuple[Fraction, ...]:
-        if v.dim != self.dim:
-            raise DomainError("dimension mismatch")
-        if any(c.q for c in v.coords) and v.kappa != self.kappa:
-            raise DomainError(
-                f"vector ring sqrt({v.kappa}) does not match QL ring sqrt({self.kappa})"
-            )
-        return tuple(linalg.mat_vec(self._basis_inv, v.expand()))
+        numerators, den = self._basis_numerators(v)
+        return tuple(Fraction(x, den) for x in numerators)
 
     def from_basis_coefficients(self, coeffs) -> ExactVector:
-        return _combine(self.member_basis, [Fraction(c) for c in coeffs])
+        """sum coeffs[i] * member_basis[i] for rational coefficients (ints,
+        numpy integers or Fractions)."""
+        den = lcm(*(c.denominator for c in coeffs))
+        x = [int(c * den) for c in coeffs]
+        y = [sum(map(mul, row, x)) for row in self._basis_rows]
+        den *= self._basis_den
+        k, d = self.kappa, self.dim
+        return ExactVector([QuadraticRingElement(y[i], y[i + d], k, den)
+                            for i in range(d)])
 
     def __repr__(self):
         return f"QLModule({self.name})"
@@ -145,12 +173,28 @@ def ql(name: str) -> QLModule:
     return QLModule(parse_ql_name(name))
 
 
-def _combine(vectors, coeffs) -> ExactVector:
-    out = None
-    for v, c in zip(vectors, coeffs):
-        term = v.scale(QuadraticRingElement.rational(c, v.kappa))
-        out = term if out is None else out + term
-    return out
+def _columns(vectors) -> tuple[list[list[int]], int]:
+    """Integer rows of the matrix whose columns are the vectors' integer
+    vectors x (see QLModule), over one common denominator."""
+    ps, qs, den = numerators_over_common_den([c for v in vectors for c in v.coords])
+    d = len(ps) // len(vectors)
+    cols = [ps[j:j + d] + qs[j:j + d] for j in range(0, len(ps), d)]
+    return [list(row) for row in zip(*cols)], den
+
+
+def _integer_inverse(rows, den: int) -> tuple[list[list[int]], int]:
+    """(N, D) with N/D the inverse of the integer matrix rows/den."""
+    inv = [[x * den for x in row] for row in linalg.mat_inverse(rows)]
+    inv_den = lcm(*(x.denominator for row in inv for x in row))
+    return [[int(x * inv_den) for x in row] for row in inv], inv_den
+
+
+def _solve(inverse, inverse_den: int, v: ExactVector) -> tuple[list[int], int]:
+    """Numerators, over one denominator, of inverse/inverse_den applied
+    to v's integer vector x over its denominator (see QLModule)."""
+    ps, qs, den = numerators_over_common_den(v.coords)
+    x = ps + qs
+    return [sum(map(mul, row, x)) for row in inverse], inverse_den * den
 
 
 def _frame(name: str) -> list[ExactVector]:
@@ -188,34 +232,32 @@ def _frame(name: str) -> list[ExactVector]:
     return powers[:4]
 
 
-def _member_basis_coeffs(name: str, frame) -> list[list[Fraction]]:
-    r = len(frame)
+def _member_basis_coeffs(name: str, frame_cols, frame_den: int
+                         ) -> tuple[list[list[int]], int]:
+    """Frame coefficients of the member basis: integer rows over a
+    denominator."""
+    r = len(frame_cols)
     if _CONSTRAINTS[name] == "unrestricted":
-        return [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+        return [[int(i == j) for j in range(r)] for i in range(r)], 1
     if name == "H3-fcc":
         rows = [[0] * 6 for _ in range(6)]
         for i in range(5):
             rows[i][i], rows[i][i + 1] = 1, -1
         rows[5][4], rows[5][5] = 1, 1
-        return [[Fraction(x) for x in row] for row in rows]
+        return rows, 1
     if name == "H3-bcc":
-        rows = [[Fraction(0)] * 6 for _ in range(6)]
-        for i in range(5):
-            rows[i][i] = Fraction(1)
-        rows[5] = [Fraction(1, 2)] * 6
-        return rows
+        rows = [[2 * int(i == j) for j in range(6)] for i in range(5)]
+        return rows + [[1] * 6], 2
     # H4: HNF basis of the integer span of the 120 root coefficient vectors
-    cols = [v.expand() for v in frame]
-    mat = [[cols[j][i] for j in range(r)] for i in range(r)]
-    inv = linalg.mat_inverse(mat)
+    inverse, inverse_den = _integer_inverse(frame_cols, frame_den)
     gen_rows = []
     for root in roots(H4):
-        coeffs = linalg.mat_vec(inv, root.expand())
-        assert all(c.denominator == 1 for c in coeffs)
-        gen_rows.append([c.numerator for c in coeffs])
+        coeffs, den = _solve(inverse, inverse_den, root)
+        assert all(c % den == 0 for c in coeffs)
+        gen_rows.append([c // den for c in coeffs])
     basis = linalg.hnf_rows(gen_rows)
     assert len(basis) == r
-    return [[Fraction(x) for x in row] for row in basis]
+    return basis, 1
 
 
 # -- membership --------------------------------------------------------
@@ -230,41 +272,24 @@ def h4_parity_ok(m, n) -> bool:
     return True
 
 
+_NON_MEMBER_REASONS = {
+    "unrestricted": "non-integer coefficients",
+    "even-sum": "coefficients not integers of even sum",
+    "all-int-or-all-half": "coefficients neither all integer nor all half-integer",
+    "h4-parity": "coordinates not half golden integers in an allowed mod-2 class",
+}
+
+
 def membership(qlm: QLModule, v: ExactVector) -> MembershipResult:
-    """Exact membership with frame coefficients on success."""
+    """Exact membership with frame coefficients on success: v is a member
+    exactly when its member-basis coefficients are integers."""
     try:
-        coeffs = qlm.frame_coefficients(v)
+        numerators, den = qlm._basis_numerators(v)
     except DomainError as exc:
         return MembershipResult(False, reason=str(exc))
-    tag = qlm.constraint
-    ints = all(c.denominator == 1 for c in coeffs)
-    if tag == "unrestricted":
-        if ints:
-            return MembershipResult(True, coeffs)
-        return MembershipResult(False, reason="non-integer coefficients")
-    if tag == "even-sum":
-        if ints and sum(c.numerator for c in coeffs) % 2 == 0:
-            return MembershipResult(True, coeffs)
-        return MembershipResult(
-            False, reason="coefficients not integers of even sum"
-        )
-    if tag == "all-int-or-all-half":
-        halves = all(c.denominator == 2 for c in coeffs)
-        if ints or halves:
-            return MembershipResult(True, coeffs)
-        return MembershipResult(
-            False, reason="coefficients neither all integer nor all half-integer"
-        )
-    # h4-parity
-    if not ints:
-        return MembershipResult(
-            False, reason="coordinates not half golden integers"
-        )
-    m = tuple(coeffs[i].numerator for i in range(4))
-    n = tuple(coeffs[i].numerator for i in range(4, 8))
-    if h4_parity_ok(m, n):
-        return MembershipResult(True, coeffs)
-    return MembershipResult(False, reason="mod-2 residue class not allowed")
+    if any(x % den for x in numerators):
+        return MembershipResult(False, reason=_NON_MEMBER_REASONS[qlm.constraint])
+    return MembershipResult(True, qlm._frame_values(numerators, den))
 
 
 def random_member(qlm: QLModule, rng, bound: int = 6) -> ExactVector:
@@ -340,7 +365,7 @@ def scale_classification(qlm: QLModule, factor: QuadraticRingElement,
         if any(c.denominator != 1 for c in coeffs):
             return ScaleClassification("not-closed")
         rows.append([c.numerator for c in coeffs])
-    d = linalg.det([[Fraction(x) for x in row] for row in rows])
+    d = linalg.det(rows)
     matrix = tuple(tuple(row) for row in rows)
     if abs(d) == 1:
         return ScaleClassification("invariant", index=1, action_matrix=matrix)

@@ -8,11 +8,10 @@ delegates to the H4 quasilattice constraint machinery.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 
 from .ring import DomainError, QuadraticRingElement
 from .roots import H4, roots
-from .vectors import ExactVector
+from .vectors import ExactVector, numerators_over_common_den
 
 
 class GoldenQuaternion:
@@ -75,23 +74,17 @@ def qmul(a: GoldenQuaternion, b: GoldenQuaternion) -> GoldenQuaternion:
     if len(kappas) > 1:
         raise DomainError(f"mixed radicands in quaternion product: {kappas}")
     kappa = kappas.pop() if kappas else a.w.kappa
-    ap, aq, da = _numerators(ca)
-    bp, bq, db = _numerators(cb)
+    ap, aq, da = numerators_over_common_den(ca)
+    bp, bq, db = numerators_over_common_den(cb)
     den = da * db
-    return GoldenQuaternion(*[
+    # the components are ring elements already: no coercion in __init__
+    out = GoldenQuaternion.__new__(GoldenQuaternion)
+    out.w, out.x, out.y, out.z = [
         QuadraticRingElement(u + kappa * v, s + t, kappa, den)
         for u, v, s, t in zip(_hamilton(ap, bp), _hamilton(aq, bq),
                               _hamilton(ap, bq), _hamilton(aq, bp))
-    ])
-
-
-def _numerators(components):
-    """(p numerators, q numerators, common denominator) of four components."""
-    w, x, y, z = components
-    den = lcm(w.den, x.den, y.den, z.den)
-    sw, sx, sy, sz = den // w.den, den // x.den, den // y.den, den // z.den
-    return ((w.p * sw, x.p * sx, y.p * sy, z.p * sz),
-            (w.q * sw, x.q * sx, y.q * sy, z.q * sz), den)
+    ]
+    return out
 
 
 def _hamilton(a, b):

@@ -67,17 +67,6 @@ class QuadraticRingElement:
         f = Fraction(x)
         return QuadraticRingElement(f.numerator, 0, kappa, f.denominator)
 
-    @staticmethod
-    def from_fractions(a: Fraction, b: Fraction, kappa: int) -> "QuadraticRingElement":
-        a, b = Fraction(a), Fraction(b)
-        den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-        return QuadraticRingElement(
-            a.numerator * (den // a.denominator),
-            b.numerator * (den // b.denominator),
-            kappa,
-            den,
-        )
-
     # -- coercion helpers ---------------------------------------------
 
     def _coerce(self, other) -> "QuadraticRingElement":

@@ -9,27 +9,19 @@ triple [p, q, den] over sqrt(kappa).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
-from .ring import DomainError, QuadraticRingElement, golden_parts
+from .ring import DomainError, QuadraticRingElement
 from .vectors import ExactVector
 
 _TERM = re.compile(r"([+-]?)(\d+\s*t|\d+|t)$")
 
 
-def _basis_parts(c: QuadraticRingElement) -> tuple[Fraction, Fraction]:
-    """(rational, t-coefficient) over the display basis {1, t}."""
-    if c.kappa == 5:
-        return golden_parts(c)
-    return c.as_fractions()
-
-
 def format_element(c: QuadraticRingElement) -> str:
-    a, b = _basis_parts(c)
-    den = lcm(a.denominator, b.denominator)
-    m = int(a * den)
-    n = int(b * den)
+    # (p + q*sqrt(5))/den = (p - q + 2q*tau)/den over the display basis {1, t}
+    m, n, den = (c.p - c.q, 2 * c.q, c.den) if c.kappa == 5 else (c.p, c.q, c.den)
+    g = gcd(m, n, den)
+    m, n, den = m // g, n // g, den // g
     if m == 0 and n == 0:
         return "0"
     terms = []
@@ -66,8 +58,7 @@ def parse_element(text: str, kappa: int = 5) -> QuadraticRingElement:
             body = tok
     if den == 0:
         raise DomainError(f"zero denominator in {text!r}")
-    a = Fraction(0)
-    b = Fraction(0)
+    a = b = 0
     pos = 0
     for part in re.finditer(r"[+-]?[^+-]+", body):
         piece = part.group(0)
@@ -83,11 +74,10 @@ def parse_element(text: str, kappa: int = 5) -> QuadraticRingElement:
         pos = part.end()
     if pos != len(body):
         raise DomainError(f"cannot parse coordinate {text!r}")
-    a, b = a / den, b / den
     if kappa == 5:
-        # (a + b*tau) back to the sqrt(5) basis
-        return QuadraticRingElement.from_fractions(a + b / 2, b / 2, 5)
-    return QuadraticRingElement.from_fractions(a, b, kappa)
+        # (a + b*tau)/den back to the sqrt(5) basis
+        return QuadraticRingElement(2 * a + b, b, 5, 2 * den)
+    return QuadraticRingElement(a, b, kappa, den)
 
 
 def parse_exact_vector(text: str, kappa: int = 5) -> ExactVector:

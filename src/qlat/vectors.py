@@ -8,7 +8,7 @@ with quadratic coordinates, so those vectors live in an oblique basis
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -94,14 +94,6 @@ class ExactVector:
                 total = total + a * gram[i][j] * b
         return total
 
-    def expand(self) -> list[Fraction]:
-        """Rational coordinates [a1, b1, a2, b2, ...] with ci = ai + bi*sqrt(kappa)."""
-        out: list[Fraction] = []
-        for c in self.coords:
-            a, b = c.as_fractions()
-            out.extend((a, b))
-        return out
-
     def to_floats(self) -> np.ndarray:
         return np.array([float(c) for c in self.coords])
 
@@ -110,6 +102,21 @@ class ExactVector:
 
     def __repr__(self):
         return "ExactVector(%s)" % ", ".join(repr(c) for c in self.coords)
+
+
+def numerators_over_common_den(cells) -> tuple[list[int], list[int], int]:
+    """(ps, qs, den) with cell i equal to (ps[i] + qs[i]*sqrt(kappa))/den,
+    over the least common denominator den of the cells."""
+    den = 1
+    for c in cells:
+        if den % c.den:
+            den = lcm(den, c.den)
+    ps, qs = [], []
+    for c in cells:
+        s = den // c.den
+        ps.append(c.p * s)
+        qs.append(c.q * s)
+    return ps, qs, den
 
 
 def reflect(v: ExactVector, r: ExactVector, gram: Gram = None) -> ExactVector:

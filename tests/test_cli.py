@@ -44,10 +44,11 @@ def test_parse_basics():
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30),
-       st.integers(min_value=1, max_value=6))
-def test_format_parse_round_trip(m, n, den):
-    c = golden(m, n) / den
-    assert parse_element(format_element(c)) == c
+       st.integers(min_value=1, max_value=6), st.sampled_from((5, 2, 3)))
+def test_format_parse_round_trip(m, n, den, kappa):
+    # m + n*tau over den for the golden ring, m + n*sqrt(kappa) otherwise
+    c = (golden(m, n) if kappa == 5 else QuadraticRingElement(m, n, kappa)) / den
+    assert parse_element(format_element(c), kappa) == c
 
 
 @pytest.mark.parametrize("text", ["--1", "1+", "1+-t", "+", "2t3", "1/0", "(1+t)/0"])

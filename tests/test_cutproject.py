@@ -170,9 +170,13 @@ def test_patch_with_too_many_points_refused_before_materialising(monkeypatch):
 
 
 def test_tiny_window_scale_leaves_only_the_origin():
-    # window rows ~1e300 beside radius rows ~0.2: the factor stays exact
-    patch = generate_patch(embedding("H3-primitive"), Window("cell", 1e-300), 5)
-    assert patch.coeffs.tolist() == [[0] * 6]
+    # window rows ~1e300 beside radius rows ~0.2: the factor stays exact,
+    # and a ball's squared scale (1e-600) would underflow to 0
+    for target, shape, radius in (("H3-primitive", "cell", 5),
+                                  ("H3-primitive", "ball", 5), ("H4", "ball", 2)):
+        emb = embedding(target)
+        patch = generate_patch(emb, Window(shape, 1e-300), radius)
+        assert patch.coeffs.tolist() == [[0] * emb.source_rank], (target, shape)
 
 
 def test_patch_points_respect_radius_and_window():

@@ -2,10 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exact_oracle import object_combination, rule_membership
 from qlat.modules import (
     QL_NAMES,
     H4Residue,
@@ -107,6 +111,94 @@ def test_h4_coefficient_lattice_index_is_16():
     qlm = ql("H4")
     mat = [[Fraction(int(x)) for x in row] for row in qlm.member_basis_coeffs]
     assert abs(linalg.det(mat)) == 16
+
+
+# -- the integer basis against the paper's coefficient rules --------------
+
+def _assert_agrees_with_rules(qlm, v):
+    member, coeffs = rule_membership(qlm, v)
+    res = membership(qlm, v)
+    assert res.member == member, (qlm.name, v)
+    if member:
+        assert res.coefficients == coeffs
+    if coeffs is not None:
+        assert qlm.frame_coefficients(v) == coeffs
+    return member
+
+
+_INTS = st.lists(st.integers(-9, 9), min_size=8, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(QL_NAMES), _INTS,
+       st.sampled_from((0, Fraction(1, 2), Fraction(1, 3))), st.integers(0, 7))
+def test_membership_matches_rules_near_members(name, ints, offset, i):
+    qlm = ql(name)
+    v = object_combination(qlm.member_basis, ints[:qlm.rank])
+    assert _assert_agrees_with_rules(qlm, v)
+    step = [0] * qlm.rank
+    step[i % qlm.rank] = offset
+    _assert_agrees_with_rules(qlm, v + object_combination(qlm.frame, step))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(QL_NAMES), _INTS)
+def test_membership_matches_rules_on_frame_combinations(name, ints):
+    qlm = ql(name)
+    coeffs = ints[:qlm.rank]
+    # all half-integers: members of H3-bcc only
+    half = [Fraction(2 * c + 1, 2) for c in coeffs]
+    member = _assert_agrees_with_rules(qlm, object_combination(qlm.frame, half))
+    assert member == (name == "H3-bcc")
+    # integers, then the same with an odd coefficient sum
+    _assert_agrees_with_rules(qlm, object_combination(qlm.frame, coeffs))
+    coeffs[0] += 1 - sum(coeffs) % 2
+    member = _assert_agrees_with_rules(qlm, object_combination(qlm.frame, coeffs))
+    if name == "H3-fcc":
+        assert not member
+
+
+def test_membership_matches_rules_on_h4_classes_and_foreign_vectors():
+    qlm = ql("H4")
+    base = object_combination(qlm.member_basis, [3, -1, 4, 1, -5, 9, 2, -6])
+    members = sum(
+        _assert_agrees_with_rules(qlm, base + object_combination(qlm.frame, bits))
+        for bits in product((0, 1), repeat=8)
+    )
+    assert members == 16
+    sqrt2 = QuadraticRingElement(0, 1, 2)
+    for name in QL_NAMES:
+        qlm = ql(name)
+        other = sqrt2 if qlm.kappa != 2 else tau()
+        wrong_ring = ExactVector([other] + [QuadraticRingElement(0)] * (qlm.dim - 1))
+        wrong_dim = ExactVector([QuadraticRingElement(1)] * (qlm.dim + 1))
+        for v, reason in ((wrong_ring, "does not match"), (wrong_dim, "dimension")):
+            assert not _assert_agrees_with_rules(qlm, v)
+            assert reason in membership(qlm, v).reason
+            with pytest.raises(DomainError):
+                qlm.frame_coefficients(v)
+
+
+@pytest.mark.parametrize("name", QL_NAMES)
+def test_member_basis_is_its_frame_combination(name):
+    qlm = ql(name)
+    for b, row in zip(qlm.member_basis, qlm.member_basis_coeffs):
+        coeffs = [Fraction(c, qlm.member_basis_den) for c in row]
+        assert b == object_combination(qlm.frame, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(QL_NAMES),
+       st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(1, 6)),
+                min_size=8, max_size=8))
+def test_from_basis_coefficients_matches_object_combination(name, pairs):
+    qlm = ql(name)
+    coeffs = [Fraction(a, b) for a, b in pairs[:qlm.rank]]
+    assert qlm.from_basis_coefficients(coeffs) == \
+        object_combination(qlm.member_basis, coeffs)
+    ints = [a for a, _ in pairs[:qlm.rank]]
+    assert qlm.from_basis_coefficients(np.array(ints)) == \
+        object_combination(qlm.member_basis, ints)
 
 
 # -- residues -----------------------------------------------------------
