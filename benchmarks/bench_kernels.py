@@ -1,12 +1,14 @@
-"""Time the three numpy kernels, the integer-backed group paths and the
-scalar module coordinates.
+"""Time the three numpy kernels, the integer-backed group paths, the
+scalar module coordinates and the patch path (generate, write, read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
 1000 calls, so their milliseconds read as microseconds per call.
 """
 
+import os
 import random
+import tempfile
 import time
 from functools import partial
 
@@ -95,13 +97,32 @@ def bench_from_basis_coefficients_h4():
             lambda: [qlm.from_basis_coefficients(c) for c in rows])
 
 
+def bench_patch_h4(workdir):
+    """generate_patch, write_patch_csv and read_patch_csv on the H4 ball
+    patch of radius 5 (9481 points)."""
+    from qlat.cutproject import (
+        Window, embedding, generate_patch, read_patch_csv, write_patch_csv)
+
+    emb, window = embedding("H4"), Window("ball")
+    patch = generate_patch(emb, window, 5.0)
+    path = os.path.join(workdir, "patch.csv")
+    write_patch_csv(patch, path)
+    return [
+        ("generate_patch(H4 ball, radius 5)", lambda: generate_patch(emb, window, 5.0)),
+        ("write_patch_csv(H4 ball, radius 5)", lambda: write_patch_csv(patch, path)),
+        ("read_patch_csv(H4 ball, radius 5)", lambda: read_patch_csv(path)),
+    ]
+
+
 def main():
-    for bench in (bench_quad_matmul, bench_ellipsoid_points, bench_structure_factor,
-                  bench_generate_h4, bench_orbit_h4, bench_icosian_products,
-                  partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
-                  bench_from_basis_coefficients_h4):
-        label, fn = bench()
-        print(f"{label:40s} {timeit(fn) * 1e3:8.2f} ms")
+    benches = [bench() for bench in (
+        bench_quad_matmul, bench_ellipsoid_points, bench_structure_factor,
+        bench_generate_h4, bench_orbit_h4, bench_icosian_products,
+        partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
+        bench_from_basis_coefficients_h4)]
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, fn in benches + bench_patch_h4(workdir):
+            print(f"{label:40s} {timeit(fn) * 1e3:8.2f} ms")
 
 
 if __name__ == "__main__":

@@ -136,8 +136,7 @@ def cmd_scale(args):
     }
     _emit(args, payload,
           [f"{qlm.name}: scaling by ({payload['factor']})^{args.power} "
-           f"-> {cls.verdict}"
-           + (f" (index {cls.index})" if cls.verdict == "proper-sublattice" else "")])
+           f"-> {cls.verdict}"])
     return 0
 
 

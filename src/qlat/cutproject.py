@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import kernels
-from .modules import QLModule, membership, ql
-from .quaternions import GoldenQuaternion, qnorm, unit_icosians
+from .modules import QLModule, ql
+from .quaternions import unit_icosians
 from .ring import DomainError, QuadraticRingElement, tau
-from .textio import format_element, parse_element
+from .textio import format_numerators
 from .vectors import ExactVector
 
 _PROJECTABLE = ("H3-primitive", "H3-fcc", "H3-bcc", "H4")
@@ -120,16 +119,37 @@ def e8_roots() -> tuple[tuple[int, ...], ...]:
 
 @dataclass
 class Patch:
+    """A finite patch, stored as the member-basis coefficients of its
+    points; the float points are derived from them by _coordinates."""
+
     target: str
     window: Window
     radius: float
     coeffs: np.ndarray                  # N x r integers
     points: np.ndarray                  # N x d parallel floats
-    exact: list[ExactVector] = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.exact)
+        return len(self.coeffs)
+
+    @cached_property
+    def exact(self) -> list[ExactVector]:
+        """The exact points, built on first use."""
+        qlm = ql(self.target)
+        return [qlm.from_basis_coefficients(row) for row in self.coeffs.tolist()]
+
+
+def _coordinates(qlm: QLModule, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 2d) int64 numerators (p_1..p_d, q_1..q_d) of the points with
+    basis coefficient rows coeffs, whose coordinates are
+    (p_j + q_j*sqrt(kappa)) / qlm._basis_den, and those points in float64."""
+    rows = np.array(qlm._basis_rows, dtype=np.int64)
+    if (int(np.abs(coeffs).max(initial=0)) * int(np.abs(rows).max()) * qlm.rank
+            > kernels.INT64_MAX):
+        raise DomainError("coefficients too large for 64-bit numerators")
+    numerators = coeffs @ rows.T
+    p, q = np.split(numerators, 2, axis=1)
+    return numerators, (p + q * math.sqrt(qlm.kappa)) / qlm._basis_den
 
 
 def _zonotope_facets(gens: np.ndarray, scale: float):
@@ -187,18 +207,10 @@ def generate_patch(emb: Embedding, window: Window, radius: float) -> Patch:
         raise DomainError(
             f"patch would hold {len(coeffs)} points, over the limit of "
             f"{kernels.MAX_PATCH_POINTS:.3g}; use a smaller radius or window scale")
-    qlm = ql(emb.target)
-    exact = [qlm.from_basis_coefficients(row) for row in coeffs.tolist()]
-    points = (
-        np.array([v.to_floats() for v in exact])
-        if exact else np.zeros((0, qlm.dim))
-    )
+    points = _coordinates(ql(emb.target), coeffs)[1]
     # deterministic order for serialization
-    if len(exact):
-        order = np.lexsort(points.T[::-1])
-        coeffs, points = coeffs[order], points[order]
-        exact = [exact[i] for i in order]
-    return Patch(emb.target, window, float(radius), coeffs, points, exact)
+    order = np.lexsort(points.T[::-1])
+    return Patch(emb.target, window, float(radius), coeffs[order], points[order])
 
 
 def structure_factor(patch: Patch, k) -> float:
@@ -210,59 +222,63 @@ def structure_factor(patch: Patch, k) -> float:
 
 # -- CSV serialization --------------------------------------------------
 
-def write_patch_csv(patch: Patch, path: str) -> None:
+def _patch_lines(patch: Patch):
+    """The lines write_patch_csv writes, as lists of strings: the metadata,
+    the column names, then each point's floats, exact coordinates and
+    coefficients, all derived from the coefficients."""
     qlm = ql(patch.target)
-    d, r = qlm.dim, qlm.rank
+    d, kappa, den = qlm.dim, qlm.kappa, qlm._basis_den
+    yield ["# target", patch.target, "window", patch.window.shape,
+           "scale", str(patch.window.scale), "radius", str(patch.radius)]
+    yield ([f"x{i}" for i in range(d)] + [f"exact{i}" for i in range(d)]
+           + [f"c{i}" for i in range(qlm.rank)])
+    numerators, points = _coordinates(qlm, patch.coeffs)
+    for x, y, c in zip(points.tolist(), numerators.tolist(), patch.coeffs.tolist()):
+        yield ([f"{v:.15g}" for v in x]
+               + [format_numerators(p, q, kappa, den) for p, q in zip(y[:d], y[d:])]
+               + [str(v) for v in c])
+
+
+def write_patch_csv(patch: Patch, path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"x{i}" for i in range(d)]
-        header += [f"exact{i}" for i in range(d)]
-        header += [f"c{i}" for i in range(r)]
-        writer.writerow(["# target", patch.target, "window", patch.window.shape,
-                         "scale", patch.window.scale, "radius", patch.radius])
-        writer.writerow(header)
-        for row, v, cf in zip(patch.points, patch.exact, patch.coeffs):
-            writer.writerow(
-                [f"{x:.15g}" for x in row]
-                + [format_element(c) for c in v.coords]
-                + [int(c) for c in cf]
-            )
+        csv.writer(fh).writerows(_patch_lines(patch))
 
 
 def read_patch_csv(path: str) -> Patch:
-    """The patch written by write_patch_csv; DomainError names the path of
-    a file that is empty or malformed."""
+    """The patch written by write_patch_csv, its points derived from the
+    coefficient columns.  DomainError names the path and line of a file
+    that is empty or malformed, or has a line other than the one the
+    writer gives for those coefficients."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            return _read_patch_rows(reader)
-        except (StopIteration, IndexError, ValueError) as exc:
+            patch = _read_patch_coeffs(reader)
+            fh.seek(0)
+            reader = csv.reader(fh)
+            for got, want in zip(reader, _patch_lines(patch)):
+                if got != want:
+                    raise ValueError("the line is not the one written for "
+                                     "these coefficients")
+        except (StopIteration, ValueError) as exc:
             detail = str(exc) or "the file ends early"
             raise DomainError(f"{path}, line {reader.line_num}: "
                               f"not a patch file: {detail}") from None
+    return patch
 
 
-def _read_patch_rows(reader) -> Patch:
-    meta = next(reader)
-    target = meta[1]
-    window = Window(meta[3], float(meta[5]))
-    radius = float(meta[7])
-    header = next(reader)
-    d = sum(1 for h in header if h.startswith("x"))
-    r = sum(1 for h in header if h.startswith("c"))
-    kappa = ql(target).kappa
-    points, exact, coeffs = [], [], []
+def _read_patch_coeffs(reader) -> Patch:
+    """The patch a file's metadata and coefficient columns give."""
+    _, target, _, shape, _, scale, _, radius = next(reader)
+    qlm = ql(target)
+    next(reader)
+    width = 2 * qlm.dim + qlm.rank
+    coeffs = []
     for row in reader:
-        if len(row) != 2 * d + r:
-            raise ValueError(f"expected {2 * d + r} fields, found {len(row)}")
-        points.append([float(x) for x in row[:d]])
-        exact.append(ExactVector(
-            parse_element(tok, kappa) for tok in row[d:2 * d]
-        ))
-        coeffs.append([int(x) for x in row[2 * d:]])
-    return Patch(
-        target, window, radius,
-        np.array(coeffs, dtype=np.int64),
-        np.array(points),
-        exact,
-    )
+        if len(row) != width:
+            raise ValueError(f"expected {width} fields, found {len(row)}")
+        coeffs.append([int(x) for x in row[2 * qlm.dim:]])
+        if max(map(abs, coeffs[-1])) > kernels.INT64_MAX:
+            raise ValueError("a coefficient does not fit in 64 bits")
+    coeffs = np.array(coeffs, dtype=np.int64).reshape(-1, qlm.rank)
+    return Patch(qlm.name, Window(shape, float(scale)), float(radius), coeffs,
+                 _coordinates(qlm, coeffs)[1])

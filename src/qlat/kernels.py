@@ -64,8 +64,10 @@ MAX_CANDIDATES = 3_000_000
 """Enumerations expected to hold more live vectors than this are refused."""
 
 MAX_PATCH_POINTS = 100_000
-"""Patches with more accepted points than this are refused before their
-exact coordinates are built (about 20 us per point for H3, 30 us for H4)."""
+"""Patches with more accepted points than this are refused, to bound the
+output and its memory: a patch file takes about 110 bytes per H4 point,
+and reading it back holds the coefficients as Python ints, about 0.7 kB
+a point."""
 
 
 def _widest_level(diag: np.ndarray, bound: float) -> float:

@@ -34,27 +34,6 @@ def mat_inverse(a: Sequence[Sequence[Fraction]]) -> Matrix:
     return [row[n:] for row in aug]
 
 
-def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return sign * result
-
-
 def hnf_rows(gen_rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Row-style Hermite normal form basis of the lattice spanned by gen_rows.
 

@@ -15,22 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import lcm
 from operator import mul
 from typing import Optional
 
 from . import linalg
 from .ring import DomainError, QuadraticRingElement, fundamental_unit, golden, tau
-from .roots import (
-    _EVEN_PERMS_4,
-    H3,
-    H4,
-    I2,
-    RootSystemId,
-    gram,
-    roots,
-)
+from .roots import H3, H4, I2, RootSystemId, gram, roots
 from .vectors import ExactVector, numerators_over_common_den
 
 QL_NAMES = (
@@ -79,9 +70,8 @@ class MembershipResult:
 
 @dataclass(frozen=True)
 class ScaleClassification:
-    verdict: str  # "invariant" | "proper-sublattice" | "not-closed"
+    verdict: str  # "invariant" | "not-closed"
     index: Optional[int] = None
-    action_matrix: Optional[tuple[tuple[int, ...], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -156,6 +146,9 @@ class QLModule:
     def from_basis_coefficients(self, coeffs) -> ExactVector:
         """sum coeffs[i] * member_basis[i] for rational coefficients (ints,
         numpy integers or Fractions)."""
+        if len(coeffs) != self.rank:
+            raise DomainError(f"{self.name} points take {self.rank} basis "
+                              f"coefficients, not {len(coeffs)}")
         den = lcm(*(c.denominator for c in coeffs))
         x = [int(c * den) for c in coeffs]
         y = [sum(map(mul, row, x)) for row in self._basis_rows]
@@ -262,16 +255,6 @@ def _member_basis_coeffs(name: str, frame_cols, frame_den: int
 
 # -- membership --------------------------------------------------------
 
-def h4_parity_ok(m, n) -> bool:
-    """The three mod-2 constraints over all even index permutations."""
-    if sum(m) % 2 or sum(n) % 2:
-        return False
-    for a, b, c, d in _EVEN_PERMS_4:
-        if (m[a] + n[a] + m[b] + n[c]) % 2:
-            return False
-    return True
-
-
 _NON_MEMBER_REASONS = {
     "unrestricted": "non-integer coefficients",
     "even-sum": "coefficients not integers of even sum",
@@ -301,13 +284,12 @@ def random_member(qlm: QLModule, rng, bound: int = 6) -> ExactVector:
 
 @lru_cache(maxsize=1)
 def enumerate_h4_residues() -> frozenset[H4Residue]:
-    """Brute-force all 256 mod-2 classes against the parity constraints."""
-    out = set()
-    for bits in product((0, 1), repeat=8):
-        m, n = bits[:4], bits[4:]
-        if h4_parity_ok(m, n):
-            out.add(H4Residue(m, n))
-    return frozenset(out)
+    """The mod-2 classes of the frame coefficients of H4 members: the F2
+    row space of the member basis's frame coefficients."""
+    span = {(0,) * 8}
+    for row in ql("H4").member_basis_coeffs:
+        span |= {tuple((a + b) % 2 for a, b in zip(s, row)) for s in span}
+    return frozenset(H4Residue(s[:4], s[4:]) for s in span)
 
 
 def h4_residue_of(v: ExactVector) -> H4Residue:
@@ -349,29 +331,35 @@ def residue_is_golden_multiple_of_root(r: H4Residue) -> bool:
 
 # -- discrete scale invariance -----------------------------------------
 
-def scale_classification(qlm: QLModule, factor: QuadraticRingElement,
-                         power: int = 1) -> ScaleClassification:
-    """Classify multiplication by factor**power on the module."""
+def _scale_period(qlm: QLModule, factor: QuadraticRingElement) -> Optional[int]:
+    """The least p >= 1 for which multiplication by factor**p keeps the
+    module, or None when no power does (the factor is no ring integer).
+
+    A unit acts on the rank-2d module with determinant +-1, so a power that
+    maps the member basis into the module maps it onto the module, and the
+    powers that keep the module are the multiples of p.
+    """
     if factor.q != 0 and factor.kappa != qlm.kappa:
         raise DomainError(
             f"factor ring sqrt({factor.kappa}) does not match QL ring sqrt({qlm.kappa})"
         )
     if abs(factor.norm()) != 1:
         raise DomainError("scale factor must be a unit (|norm| = 1)")
-    eta = factor ** power
-    rows = []
-    for b in qlm.member_basis:
-        coeffs = qlm.basis_coefficients(b.scale(eta))
-        if any(c.denominator != 1 for c in coeffs):
-            return ScaleClassification("not-closed")
-        rows.append([c.numerator for c in coeffs])
-    d = linalg.det(rows)
-    matrix = tuple(tuple(row) for row in rows)
-    if abs(d) == 1:
-        return ScaleClassification("invariant", index=1, action_matrix=matrix)
-    return ScaleClassification(
-        "proper-sublattice", index=abs(int(d)), action_matrix=matrix
-    )
+    if not factor.is_ring_integer():
+        return None
+    eta, period = factor, 1
+    while not all(membership(qlm, b.scale(eta)).member for b in qlm.member_basis):
+        eta, period = eta * factor, period + 1
+    return period
+
+
+def scale_classification(qlm: QLModule, factor: QuadraticRingElement,
+                         power: int = 1) -> ScaleClassification:
+    """Classify multiplication by factor**power on the module."""
+    period = _scale_period(qlm, factor)
+    if power == 0 or (period and power % period == 0):
+        return ScaleClassification("invariant", index=1)
+    return ScaleClassification("not-closed")
 
 
 _TABLE1 = {
@@ -433,19 +421,14 @@ def _factor_text(u: QuadraticRingElement, power: int) -> str:
     return body if den == 1 else f"({body})/{den}"
 
 
-def verify_table1(max_power: int = 8) -> Table1Report:
+def verify_table1() -> Table1Report:
     """Re-derive every scale-factor table row from the Pell-equation
     fundamental unit."""
     rows = []
     for name in QL_NAMES:
         kappa, expected_power = _TABLE1[name]
         u = fundamental_unit(kappa).unit
-        qlm = ql(name)
-        minimal = None
-        for k in range(1, max_power + 1):
-            if scale_classification(qlm, u, k).verdict == "invariant":
-                minimal = k
-                break
+        minimal = _scale_period(ql(name), u)
         ok = minimal == expected_power
         rows.append(Table1Row(
             ql=name,

@@ -18,8 +18,13 @@ _TERM = re.compile(r"([+-]?)(\d+\s*t|\d+|t)$")
 
 
 def format_element(c: QuadraticRingElement) -> str:
+    return format_numerators(c.p, c.q, c.kappa, c.den)
+
+
+def format_numerators(p: int, q: int, kappa: int, den: int) -> str:
+    """(p + q*sqrt(kappa))/den in lowest terms, for any den > 0."""
     # (p + q*sqrt(5))/den = (p - q + 2q*tau)/den over the display basis {1, t}
-    m, n, den = (c.p - c.q, 2 * c.q, c.den) if c.kappa == 5 else (c.p, c.q, c.den)
+    m, n = (p - q, 2 * q) if kappa == 5 else (p, q)
     g = gcd(m, n, den)
     m, n, den = m // g, n // g, den // g
     if m == 0 and n == 0:

@@ -1,18 +1,18 @@
 """Exact object arithmetic kept as test oracles.
 
 The library multiplies matrices, applies them to vectors, multiplies
-quaternions and decides quasilattice membership on integer numerators;
-these are the same operations written entry by entry with
-QuadraticRingElement and Fraction, and membership by the paper's four
-coefficient rules.
+quaternions, decides quasilattice membership on integer numerators and
+classifies rescalings by a period; these are the same operations written
+entry by entry with QuadraticRingElement and Fraction, membership by the
+paper's four coefficient rules, and rescaling power by power.
 """
 
 from fractions import Fraction
 
 from qlat import linalg
-from qlat.modules import h4_parity_ok
 from qlat.quaternions import GoldenQuaternion
 from qlat.ring import QuadraticRingElement
+from qlat.roots import _EVEN_PERMS_4
 from qlat.vectors import ExactVector
 
 
@@ -90,3 +90,50 @@ def rule_membership(qlm, v: ExactVector):
         member = ints and h4_parity_ok([int(c) for c in coeffs[:4]],
                                        [int(c) for c in coeffs[4:]])
     return member, coeffs
+
+
+def h4_parity_ok(m, n) -> bool:
+    """The paper's H4 rule: the three mod-2 constraints over all even
+    index permutations."""
+    if sum(m) % 2 or sum(n) % 2:
+        return False
+    for a, b, c, d in _EVEN_PERMS_4:
+        if (m[a] + n[a] + m[b] + n[c]) % 2:
+            return False
+    return True
+
+
+def det(a) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        result *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] * inv
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return sign * result
+
+
+def power_scale_verdict(qlm, factor: QuadraticRingElement, power: int) -> str:
+    """Multiplication by factor**power, built exactly, on the member basis:
+    "not-closed" when an image leaves the module, else "invariant" or
+    "proper-sublattice" by the determinant of the integer action matrix."""
+    eta = factor ** power
+    rows = []
+    for b in qlm.member_basis:
+        coeffs = qlm.basis_coefficients(b.scale(eta))
+        if any(c.denominator != 1 for c in coeffs):
+            return "not-closed"
+        rows.append([c.numerator for c in coeffs])
+    return "invariant" if abs(det(rows)) == 1 else "proper-sublattice"

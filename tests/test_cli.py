@@ -1,6 +1,7 @@
 """The qlat command-line interface and text encodings."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -144,6 +145,17 @@ def test_scale(capsys):
     code, out = run(capsys, "scale", "--ql", "H3-primitive", "--power", "3")
     assert code == 0 and "invariant" in out
     code, out = run(capsys, "scale", "--ql", "H3-primitive", "--factor", "t")
+    assert code == 0 and "not-closed" in out
+
+
+def test_scale_huge_power_is_answered_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "scale", "--ql", "H4", "--power", "100000000",
+                    "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["verdict"] == "invariant"
+    code, out = run(capsys, "scale", "--ql", "H3-primitive", "--power", "100000000")
     assert code == 0 and "not-closed" in out
 
 

@@ -223,9 +223,33 @@ def test_patch_csv_round_trip(tmp_path):
     assert back.exact == patch.exact
     assert np.allclose(back.points, patch.points)
     assert (back.coeffs == patch.coeffs).all()
+    # the points are derived from the coefficients, not parsed from text
+    assert back.points.tobytes() == patch.points.tobytes()
 
 
-@pytest.mark.parametrize("cut", ["header", "field", "exact"])
+@pytest.mark.parametrize("target,shape,radius", [
+    ("H3-bcc", "cell", 4.0), ("H4", "ball", 2.0),
+])
+def test_patch_path_builds_no_exact_objects(tmp_path, monkeypatch, target, shape,
+                                            radius):
+    from qlat import textio
+
+    emb = embedding(target)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact objects built")
+
+    monkeypatch.setattr(QLModule, "from_basis_coefficients", refuse)
+    monkeypatch.setattr(textio, "parse_element", refuse)
+    patch = generate_patch(emb, Window(shape), radius)
+    path = tmp_path / "patch.csv"
+    write_patch_csv(patch, str(path))
+    back = read_patch_csv(str(path))
+    assert back.size == patch.size > 20
+    assert abs(structure_factor(back, np.zeros(emb.parallel.shape[0])) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("cut", ["header", "field", "exact", "huge", "disagree"])
 def test_malformed_patch_csv_names_the_file(tmp_path, cut):
     path = tmp_path / "patch.csv"
     write_patch_csv(generate_patch(embedding("H3-bcc"), Window("cell"), 3.0), str(path))
@@ -234,8 +258,14 @@ def test_malformed_patch_csv_names_the_file(tmp_path, cut):
         lines = lines[:1]
     elif cut == "field":
         lines[2] = lines[2].rsplit(",", 1)[0]
-    else:
+    elif cut == "exact":
         lines[2] = lines[2].replace(",0,", ",1/0,", 1)
+    elif cut == "huge":
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + str(10**30)
+    else:
+        fields = lines[2].split(",")
+        fields[0], fields[3] = "123.5", "7"
+        lines[2] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DomainError, match="patch.csv, line [0-9]+: not a patch file"):
         read_patch_csv(str(path))

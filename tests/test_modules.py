@@ -9,13 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracle import object_combination, rule_membership
+from exact_oracle import (
+    det,
+    h4_parity_ok,
+    object_combination,
+    power_scale_verdict,
+    rule_membership,
+)
 from qlat.modules import (
+    _TABLE1,
     QL_NAMES,
     H4Residue,
     contains_root_copy,
     enumerate_h4_residues,
-    h4_parity_ok,
     h4_residue_of,
     membership,
     ql,
@@ -106,11 +112,15 @@ def test_h4_membership_round_trip():
 
 
 def test_h4_coefficient_lattice_index_is_16():
-    from qlat import linalg
-
     qlm = ql("H4")
     mat = [[Fraction(int(x)) for x in row] for row in qlm.member_basis_coeffs]
-    assert abs(linalg.det(mat)) == 16
+    assert abs(det(mat)) == 16
+
+
+@pytest.mark.parametrize("name,count", [("H4", 2), ("H4", 9), ("I2-5", 3)])
+def test_wrong_number_of_basis_coefficients_refused(name, count):
+    with pytest.raises(DomainError, match=f"take {ql(name).rank} basis coefficients"):
+        ql(name).from_basis_coefficients(list(range(1, count + 1)))
 
 
 # -- the integer basis against the paper's coefficient rules --------------
@@ -206,13 +216,14 @@ def test_from_basis_coefficients_matches_object_combination(name, pairs):
 def test_sixteen_residues():
     res = enumerate_h4_residues()
     assert len(res) == 16
-    total = sum(
-        1
+    by_rule = {
+        H4Residue(m, n)
         for m in np.ndindex(2, 2, 2, 2)
         for n in np.ndindex(2, 2, 2, 2)
         if h4_parity_ok(m, n)
-    )
-    assert total == 16
+    }
+    assert len(by_rule) == 16
+    assert res == by_rule
 
 
 def _expected_residues():
@@ -282,6 +293,26 @@ def test_tau_squared_is_still_invariant_where_tau_is():
     cls = scale_classification(ql("H3-fcc"), t, 2)
     assert cls.verdict == "invariant"
     assert cls.index == 1
+
+
+# units of norm 1 that are no algebraic integers, by radicand
+_NON_INTEGRAL_UNITS = {5: QuadraticRingElement(21, 8, 5, 11),
+                       2: QuadraticRingElement(11, 6, 2, 7),
+                       3: QuadraticRingElement(19, 8, 3, 13)}
+
+
+@pytest.mark.parametrize("name", QL_NAMES)
+def test_scale_period_rule_matches_power_by_power_oracle(name):
+    qlm = ql(name)
+    u = fundamental_unit(_TABLE1[name][0]).unit
+    odd = _NON_INTEGRAL_UNITS[u.kappa]
+    assert abs(odd.norm()) == 1 and not odd.is_ring_integer()
+    for factor in (u, -u, u * u, u ** 3, u ** -1, odd):
+        for power in range(-6, 10):
+            cls = scale_classification(qlm, factor, power)
+            assert cls.verdict == power_scale_verdict(qlm, factor, power), \
+                (factor, power)
+            assert cls.index == (1 if cls.verdict == "invariant" else None)
 
 
 def test_verify_table1():
