@@ -1,5 +1,6 @@
-"""Time the three numpy kernels, the integer-backed group paths, the
-scalar module coordinates and the patch path (generate, write, read).
+"""Time the three numpy kernels, the integer-backed group and quaternion
+paths, the scalar module coordinates and the patch path (generate, write,
+read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
@@ -72,6 +73,21 @@ def bench_orbit_h4():
     return "orbit(H4 group, root) (120 images)", lambda: orbit(group, root)
 
 
+def bench_quaternion_maps():
+    from qlat.groups import enumerate_h4_quaternion_maps
+
+    return "enumerate_h4_quaternion_maps (2 x 120^2)", enumerate_h4_quaternion_maps
+
+
+def bench_apply_h4():
+    from qlat.groups import generate
+    from qlat.roots import H4, roots
+
+    elements, rs = generate(H4).elements, roots(H4)
+    return ("GroupElement.apply(H4 root), 1000 calls",
+            lambda: [elements[i].apply(rs[i % len(rs)]) for i in range(1000)])
+
+
 def bench_icosian_products():
     from qlat.quaternions import qmul, unit_icosians
 
@@ -117,7 +133,8 @@ def bench_patch_h4(workdir):
 def main():
     benches = [bench() for bench in (
         bench_quad_matmul, bench_ellipsoid_points, bench_structure_factor,
-        bench_generate_h4, bench_orbit_h4, bench_icosian_products,
+        bench_generate_h4, bench_orbit_h4, bench_quaternion_maps, bench_apply_h4,
+        bench_icosian_products,
         partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
         bench_from_basis_coefficients_h4)]
     with tempfile.TemporaryDirectory() as workdir:

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import cutproject, groups, modules, quaternions, textio
-from .ring import DomainError
+from .ring import DomainError, fundamental_unit
 from .roots import RootSystemId, is_quadratic, roots
 
 
@@ -123,9 +123,7 @@ def cmd_scale(args):
     if args.factor:
         factor = textio.parse_element(args.factor, qlm.kappa)
     else:
-        from .ring import fundamental_unit
-
-        factor = fundamental_unit(modules._TABLE1[qlm.name][0]).unit
+        factor = fundamental_unit(qlm.kappa).unit
     cls = modules.scale_classification(qlm, factor, args.power)
     payload = {
         "ql": qlm.name,

@@ -42,7 +42,6 @@ class Window:
 class Embedding:
     target: str
     source_rank: int
-    generators: list[ExactVector]      # parallel images of the source basis
     parallel: np.ndarray               # d x N float
     perpendicular: np.ndarray          # (N-d) x N float
     cell_generators: np.ndarray        # perp images of the frame, for windows
@@ -54,16 +53,16 @@ def embedding(target: str) -> Embedding:
     if qlm.name not in _PROJECTABLE:
         raise DomainError(f"no higher-dimensional embedding for {target} "
                           "(2D targets are out of scope)")
-    gens = qlm.member_basis
-    par = np.stack([g.to_floats() for g in gens], axis=1)
-    perp = np.stack([g.conjugate().to_floats() for g in gens], axis=1)
+    # the member basis vectors are (P + Q*sqrt(kappa))/den, their Galois
+    # conjugates (P - Q*sqrt(kappa))/den, as in _coordinates
+    p, q = np.split(np.array(qlm._basis_rows, dtype=np.int64), 2)
+    root, den = math.sqrt(qlm.kappa), qlm._basis_den
     cell = np.stack([v.conjugate().to_floats() for v in qlm.frame], axis=1)
     return Embedding(
         target=qlm.name,
         source_rank=qlm.rank,
-        generators=list(gens),
-        parallel=par,
-        perpendicular=perp,
+        parallel=(p + q * root) / den,
+        perpendicular=(p - q * root) / den,
         cell_generators=cell,
     )
 
@@ -102,10 +101,7 @@ def e8_roots() -> tuple[tuple[int, ...], ...]:
     """
     qlm = ql("H4")
     t = tau()
-    shells = [
-        [u.as_vector() for u in unit_icosians()],
-        [u.as_vector().scale(t - 1) for u in unit_icosians()],
-    ]
+    shells = [unit_icosians(), [u.scale(t - 1) for u in unit_icosians()]]
     out = []
     for shell in shells:
         for v in shell:
@@ -156,7 +152,8 @@ def _zonotope_facets(gens: np.ndarray, scale: float):
     """Facet normals/supports of the zonotope sum of [-g/2, g/2] segments."""
     d, n = gens.shape
     if d != 3:
-        raise DomainError("cell windows are built for 3D perpendicular space")
+        raise DomainError(f"cell windows are built for 3D perpendicular space, "
+                          f"not {d}D; use a ball window (--window ball)")
     normals, supports = [], []
     for i in range(n):
         for j in range(i + 1, n):
@@ -215,8 +212,6 @@ def generate_patch(emb: Embedding, window: Window, radius: float) -> Patch:
 
 def structure_factor(patch: Patch, k) -> float:
     """Normalized diffraction intensity |sum exp(i k.x)|^2 / N^2."""
-    if patch.size == 0:
-        raise DomainError("structure factor of an empty patch")
     return float(kernels.structure_factor_sum(patch.points, np.asarray(k))[0])
 
 

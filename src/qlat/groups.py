@@ -29,7 +29,7 @@ from .quaternions import (
 )
 from .ring import DomainError, QuadraticRingElement
 from .roots import RootSystemId, gram, is_quadratic, kappa_of, simple_roots
-from .vectors import ExactVector, numerators_over_common_den
+from .vectors import ExactVector
 
 
 def _int_array(values, shape) -> np.ndarray:
@@ -37,13 +37,6 @@ def _int_array(values, shape) -> np.ndarray:
     does not fit."""
     wide = max(map(abs, values), default=0) > kernels.INT64_MAX
     return np.array(values, dtype=object if wide else np.int64).reshape(shape)
-
-
-def _pair_array(cells, shape) -> tuple[np.ndarray, int]:
-    """The numerator pairs of cells over their least common denominator,
-    as an array of shape (..., 2), and that denominator."""
-    ps, qs, den = numerators_over_common_den(cells)
-    return _int_array(ps + qs, (2, -1)).T.reshape(shape), den
 
 
 def _canonical(numerators: np.ndarray, den: int):
@@ -80,16 +73,12 @@ class GroupElement:
     __slots__ = ("numerators", "den", "kappa", "_key")
 
     def __init__(self, entries):
-        rows = [[c if isinstance(c, QuadraticRingElement)
-                 else QuadraticRingElement.rational(c) for c in row]
-                for row in entries]
-        cells = [c for row in rows for c in row]
-        kappas = {c.kappa for c in cells if c.q}
-        if len(kappas) > 1:
-            raise DomainError(f"mixed radicands in matrix: {kappas}")
-        kappa = kappas.pop() if kappas else cells[0].kappa
-        numerators, den = _pair_array(cells, (len(rows), len(rows), 2))
-        self._fill(*_canonical(numerators, den), kappa)
+        rows = [tuple(row) for row in entries]
+        # the entries, row by row, as one exact vector of length d*d
+        cells = ExactVector(c for row in rows for c in row)
+        x, den = cells.numerators()
+        numerators = _int_array(x, (2, -1)).T.reshape(len(rows), len(rows), 2)
+        self._fill(*_canonical(numerators, den), cells.kappa)
 
     def _fill(self, numerators: np.ndarray, den: int, kappa: int) -> None:
         self.numerators = numerators
@@ -135,7 +124,7 @@ class GroupElement:
 
     def apply(self, v: ExactVector) -> ExactVector:
         images, den, kappa = _images(self.numerators, self.den, self.kappa, v)
-        return _vector(images.tolist(), den, kappa)
+        return ExactVector.from_numerators(images.T.ravel().tolist(), den, kappa)
 
     def transpose(self) -> "GroupElement":
         return GroupElement._wrap(
@@ -174,15 +163,10 @@ def _images(numerators: np.ndarray, den: int, kappa: int, v: ExactVector):
     if v.dim != d:
         raise DomainError(
             f"cannot apply a {d}x{d} matrix to a {v.dim}-component vector")
-    coords = v.coords
-    kappa = _radicand(numerators, kappa, v.kappa, lambda: any(c.q for c in coords))
-    pairs, vden = _pair_array(coords, (d, 2))
-    images = kernels.quad_product(numerators, pairs, kappa)
+    x, vden = v.numerators()
+    kappa = _radicand(numerators, kappa, v.kappa, lambda: any(x[d:]))
+    images = kernels.quad_product(numerators, _int_array(x, (2, d)).T, kappa)
     return images, den * vden, kappa
-
-
-def _vector(pairs, den: int, kappa: int) -> ExactVector:
-    return ExactVector(QuadraticRingElement(x, y, kappa, den) for x, y in pairs)
 
 
 def identity_element(d: int) -> GroupElement:
@@ -302,8 +286,10 @@ def orbit(group: ReflectionGroup, v: ExactVector) -> frozenset:
     """The distinct images of v: one batched integer product over the
     whole group, then exact vectors for the distinct rows only."""
     images, den, kappa = _images(group.numerators, 4, group.kappa, v)
-    rows = {tuple(r) for r in images.reshape(len(images), -1).tolist()}
-    return frozenset(_vector(zip(r[::2], r[1::2]), den, kappa) for r in rows)
+    # each image's integer form (p_1..p_d, q_1..q_d), one row per element
+    forms = images.transpose(0, 2, 1).reshape(len(images), -1)
+    rows = {tuple(r) for r in forms.tolist()}
+    return frozenset(ExactVector.from_numerators(r, den, kappa) for r in rows)
 
 
 # -- the quaternion-pair realization of the H4 group --------------------

@@ -140,6 +140,8 @@ def ellipsoid_points(basis: np.ndarray, bound: float) -> np.ndarray:
 def structure_factor_sum(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Normalized |sum exp(i k.x)|^2 / N^2 for each row k of ks."""
     points = np.asarray(points, dtype=np.float64)
+    if len(points) == 0:
+        raise DomainError("structure factor of an empty patch")
     ks = np.atleast_2d(np.asarray(ks, dtype=np.float64))
     phases = points @ ks.T
     re = np.cos(phases).sum(axis=0)

@@ -22,7 +22,7 @@ from typing import Optional
 from . import linalg
 from .ring import DomainError, QuadraticRingElement, fundamental_unit, golden, tau
 from .roots import H3, H4, I2, RootSystemId, gram, roots
-from .vectors import ExactVector, numerators_over_common_den
+from .vectors import ExactVector
 
 QL_NAMES = (
     "I2-5", "I2-8", "I2-12",
@@ -125,7 +125,7 @@ class QLModule:
         """Numerators of v's basis coefficients over one denominator."""
         if v.dim != self.dim:
             raise DomainError("dimension mismatch")
-        if any(c.q for c in v.coords) and v.kappa != self.kappa:
+        if v.kappa != self.kappa and any(c.q for c in v.coords):
             raise DomainError(
                 f"vector ring sqrt({v.kappa}) does not match QL ring sqrt({self.kappa})"
             )
@@ -151,11 +151,9 @@ class QLModule:
                               f"coefficients, not {len(coeffs)}")
         den = lcm(*(c.denominator for c in coeffs))
         x = [int(c * den) for c in coeffs]
-        y = [sum(map(mul, row, x)) for row in self._basis_rows]
-        den *= self._basis_den
-        k, d = self.kappa, self.dim
-        return ExactVector([QuadraticRingElement(y[i], y[i + d], k, den)
-                            for i in range(d)])
+        return ExactVector.from_numerators(
+            [sum(map(mul, row, x)) for row in self._basis_rows],
+            den * self._basis_den, self.kappa)
 
     def __repr__(self):
         return f"QLModule({self.name})"
@@ -169,10 +167,10 @@ def ql(name: str) -> QLModule:
 def _columns(vectors) -> tuple[list[list[int]], int]:
     """Integer rows of the matrix whose columns are the vectors' integer
     vectors x (see QLModule), over one common denominator."""
-    ps, qs, den = numerators_over_common_den([c for v in vectors for c in v.coords])
-    d = len(ps) // len(vectors)
-    cols = [ps[j:j + d] + qs[j:j + d] for j in range(0, len(ps), d)]
-    return [list(row) for row in zip(*cols)], den
+    cols = [v.numerators() for v in vectors]
+    den = lcm(*(d for _, d in cols))
+    scaled = [[a * (den // d) for a in x] for x, d in cols]
+    return [list(row) for row in zip(*scaled)], den
 
 
 def _integer_inverse(rows, den: int) -> tuple[list[list[int]], int]:
@@ -185,8 +183,7 @@ def _integer_inverse(rows, den: int) -> tuple[list[list[int]], int]:
 def _solve(inverse, inverse_den: int, v: ExactVector) -> tuple[list[int], int]:
     """Numerators, over one denominator, of inverse/inverse_den applied
     to v's integer vector x over its denominator (see QLModule)."""
-    ps, qs, den = numerators_over_common_den(v.coords)
-    x = ps + qs
+    x, den = v.numerators()
     return [sum(map(mul, row, x)) for row in inverse], inverse_den * den
 
 
@@ -363,14 +360,14 @@ def scale_classification(qlm: QLModule, factor: QuadraticRingElement,
 
 
 _TABLE1 = {
-    # name -> (kappa of 1D sublattice ring, expected minimal invariance power)
-    "I2-5": (5, 1),
-    "I2-8": (2, 1),
-    "I2-12": (3, 1),
-    "H3-primitive": (5, 3),
-    "H3-fcc": (5, 1),
-    "H3-bcc": (5, 1),
-    "H4": (5, 1),
+    # name -> expected minimal power of the fundamental unit keeping the module
+    "I2-5": 1,
+    "I2-8": 1,
+    "I2-12": 1,
+    "H3-primitive": 3,
+    "H3-fcc": 1,
+    "H3-bcc": 1,
+    "H4": 1,
 }
 
 
@@ -426,9 +423,9 @@ def verify_table1() -> Table1Report:
     fundamental unit."""
     rows = []
     for name in QL_NAMES:
-        kappa, expected_power = _TABLE1[name]
-        u = fundamental_unit(kappa).unit
-        minimal = _scale_period(ql(name), u)
+        qlm, expected_power = ql(name), _TABLE1[name]
+        u = fundamental_unit(qlm.kappa).unit
+        minimal = _scale_period(qlm, u)
         ok = minimal == expected_power
         rows.append(Table1Row(
             ql=name,

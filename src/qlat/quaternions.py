@@ -11,79 +11,55 @@ from functools import lru_cache
 
 from .ring import DomainError, QuadraticRingElement
 from .roots import H4, roots
-from .vectors import ExactVector, numerators_over_common_den
+from .vectors import ExactVector, radicand
 
 
-class GoldenQuaternion:
-    """Quaternion w + x*i + y*j + z*k over Q(sqrt(5))."""
+class GoldenQuaternion(ExactVector):
+    """Quaternion w + x*i + y*j + z*k over Q(sqrt(5)): the exact 4-vector
+    (w, x, y, z), equal to and hashing like the ExactVector of those
+    coordinates."""
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ()
 
     def __init__(self, w, x, y, z):
-        self.w, self.x, self.y, self.z = [
-            c if isinstance(c, QuadraticRingElement)
-            else QuadraticRingElement.rational(c) for c in (w, x, y, z)]
+        super().__init__((w, x, y, z))
+
+    w, x, y, z = (property(lambda self, i=i: self.coords[i]) for i in range(4))
 
     @staticmethod
     def from_vector(v: ExactVector) -> "GoldenQuaternion":
         return GoldenQuaternion(*v.coords)
 
     def as_vector(self) -> ExactVector:
-        return ExactVector((self.w, self.x, self.y, self.z))
+        return ExactVector(self.coords)
 
     def components(self):
-        return (self.w, self.x, self.y, self.z)
-
-    def __eq__(self, other):
-        return isinstance(other, GoldenQuaternion) and \
-            self.components() == other.components()
-
-    def __hash__(self):
-        return hash(self.components())
-
-    def __add__(self, other):
-        return GoldenQuaternion(self.w + other.w, self.x + other.x,
-                                self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return GoldenQuaternion(self.w - other.w, self.x - other.x,
-                                self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return GoldenQuaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def scale(self, s):
-        return GoldenQuaternion(self.w * s, self.x * s, self.y * s, self.z * s)
+        return self.coords
 
     def __mul__(self, other):
         return qmul(self, other)
 
-    def __repr__(self):
-        return f"GoldenQuaternion{self.components()!r}"
-
 
 def qmul(a: GoldenQuaternion, b: GoldenQuaternion) -> GoldenQuaternion:
-    """Hamilton product, on integer numerators over a common denominator.
+    """Hamilton product, on the integer forms of a and b.
 
     With a = (ap + aq*sqrt(kappa))/da componentwise and b likewise, the
     product is (ap*bp + kappa*aq*bq + (ap*bq + aq*bp)*sqrt(kappa))/(da*db)
     in Hamilton products of integer 4-tuples.
     """
-    ca, cb = a.components(), b.components()
-    kappas = {c.kappa for c in ca + cb if c.q}
-    if len(kappas) > 1:
-        raise DomainError(f"mixed radicands in quaternion product: {kappas}")
-    kappa = kappas.pop() if kappas else a.w.kappa
-    ap, aq, da = numerators_over_common_den(ca)
-    bp, bq, db = numerators_over_common_den(cb)
+    kappa = a.kappa if a.kappa == b.kappa else radicand(a.coords + b.coords)
+    x, da = a.numerators()
+    y, db = b.numerators()
+    ap, aq, bp, bq = x[:4], x[4:], y[:4], y[4:]
     den = da * db
-    # the components are ring elements already: no coercion in __init__
-    out = GoldenQuaternion.__new__(GoldenQuaternion)
-    out.w, out.x, out.y, out.z = [
+    # ring elements over the product's radicand: no coercion or rescan
+    out = object.__new__(GoldenQuaternion)
+    out.coords = tuple(
         QuadraticRingElement(u + kappa * v, s + t, kappa, den)
         for u, v, s, t in zip(_hamilton(ap, bp), _hamilton(aq, bq),
                               _hamilton(ap, bq), _hamilton(aq, bp))
-    ]
+    )
+    out.kappa = kappa
     return out
 
 
@@ -105,7 +81,7 @@ def qconj(a: GoldenQuaternion) -> GoldenQuaternion:
 
 def qnorm(a: GoldenQuaternion) -> QuadraticRingElement:
     """a * qconj(a), a scalar of the golden field."""
-    return a.w * a.w + a.x * a.x + a.y * a.y + a.z * a.z
+    return a.dot(a)
 
 
 @lru_cache(maxsize=1)
@@ -118,32 +94,30 @@ def is_in_icosian_ring(q: GoldenQuaternion) -> bool:
     """True iff q lies in the integer span of the unit icosians."""
     from .modules import membership, ql
 
-    return membership(ql("H4"), q.as_vector()).member
+    return membership(ql("H4"), q).member
+
+
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def left_matrix(a: GoldenQuaternion):
     """Matrix (rows of column images) of Q -> a*Q on (w,x,y,z) columns."""
-    basis = _basis_quaternions()
-    cols = [qmul(a, e).components() for e in basis]
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
+    return _matrix(a, _hamilton)
 
 
 def right_matrix(b: GoldenQuaternion):
     """Matrix of Q -> Q*b."""
-    basis = _basis_quaternions()
-    cols = [qmul(e, b).components() for e in basis]
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
+    return _matrix(b, lambda u, e: _hamilton(e, u))
 
 
-def _basis_quaternions():
-    one = QuadraticRingElement(1)
-    zero = QuadraticRingElement(0)
-    return (
-        GoldenQuaternion(one, zero, zero, zero),
-        GoldenQuaternion(zero, one, zero, zero),
-        GoldenQuaternion(zero, zero, one, zero),
-        GoldenQuaternion(zero, zero, zero, one),
-    )
+def _matrix(a: GoldenQuaternion, product):
+    """Rows of the matrix whose column j is product(a, e_j), on a's
+    integer form: e_j is integral, so the sqrt(kappa) parts stay apart."""
+    x, den = a.numerators()
+    p = [product(x[:4], e) for e in _UNITS]
+    q = [product(x[4:], e) for e in _UNITS]
+    return tuple(tuple(QuadraticRingElement(p[j][i], q[j][i], a.kappa, den)
+                       for j in range(4)) for i in range(4))
 
 
 def require_unit(q: GoldenQuaternion) -> None:

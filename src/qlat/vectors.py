@@ -18,31 +18,64 @@ from .ring import DomainError, QuadraticRingElement
 Gram = Optional[Sequence[Sequence[QuadraticRingElement]]]
 
 
-class ExactVector:
-    """Immutable tuple of QuadraticRingElement sharing one radicand."""
+def radicand(cells) -> int:
+    """The one radicand kappa of the irrational cells of a sequence, or the
+    first cell's when all are rational (5 when there are none)."""
+    kappas = {c.kappa for c in cells if c.q}
+    if len(kappas) > 1:
+        raise DomainError(f"mixed radicands: {sorted(kappas)}")
+    return kappas.pop() if kappas else cells[0].kappa if cells else 5
 
-    __slots__ = ("coords",)
+
+class ExactVector:
+    """Immutable tuple of QuadraticRingElement sharing one radicand.
+
+    Its integer form is x = (p_1, ..., p_d, q_1, ..., q_d) over one
+    denominator den, coordinate i being (p_i + q_i*sqrt(kappa))/den.
+    Arithmetic builds results of the caller's type, so subclasses whose
+    constructors take other arguments (GoldenQuaternion) keep their type.
+    """
+
+    __slots__ = ("coords", "kappa")
 
     def __init__(self, coords: Iterable[QuadraticRingElement]):
-        coords = tuple(
+        self.coords = tuple(
             c if isinstance(c, QuadraticRingElement) else QuadraticRingElement.rational(c)
             for c in coords
         )
-        kappas = {c.kappa for c in coords if c.q != 0}
-        if len(kappas) > 1:
-            raise DomainError(f"mixed radicands in vector: {kappas}")
-        self.coords = coords
+        self.kappa = radicand(self.coords)
+
+    @classmethod
+    def _build(cls, coords: Iterable[QuadraticRingElement]) -> "ExactVector":
+        """The vector of ring elements coords, as a cls, without coercion."""
+        v = object.__new__(cls)
+        v.coords = tuple(coords)
+        v.kappa = radicand(v.coords)
+        return v
+
+    @classmethod
+    def from_numerators(cls, x: Sequence[int], den: int, kappa: int) -> "ExactVector":
+        """The vector whose integer form is x over den (see the class)."""
+        d = len(x) // 2
+        return cls._build(QuadraticRingElement(x[i], x[i + d], kappa, den)
+                          for i in range(d))
+
+    def numerators(self) -> tuple[list[int], int]:
+        """(x, den): the integer form over the least common denominator."""
+        den = 1
+        for c in self.coords:
+            if den % c.den:
+                den = lcm(den, c.den)
+        ps, qs = [], []
+        for c in self.coords:
+            s = den // c.den
+            ps.append(c.p * s)
+            qs.append(c.q * s)
+        return ps + qs, den
 
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    @property
-    def kappa(self) -> int:
-        for c in self.coords:
-            if c.q != 0:
-                return c.kappa
-        return self.coords[0].kappa if self.coords else 5
 
     def __iter__(self):
         return iter(self.coords)
@@ -53,17 +86,22 @@ class ExactVector:
     def __len__(self):
         return len(self.coords)
 
+    def _zip(self, other: "ExactVector"):
+        if len(self.coords) != len(other.coords):
+            raise DomainError("dimension mismatch")
+        return zip(self.coords, other.coords)
+
     def __add__(self, other: "ExactVector") -> "ExactVector":
-        return ExactVector(a + b for a, b in zip(self.coords, other.coords))
+        return self._build(a + b for a, b in self._zip(other))
 
     def __sub__(self, other: "ExactVector") -> "ExactVector":
-        return ExactVector(a - b for a, b in zip(self.coords, other.coords))
+        return self._build(a - b for a, b in self._zip(other))
 
     def __neg__(self) -> "ExactVector":
-        return ExactVector(-a for a in self.coords)
+        return self._build(-a for a in self.coords)
 
     def scale(self, s) -> "ExactVector":
-        return ExactVector(a * s for a in self.coords)
+        return self._build(a * s for a in self.coords)
 
     __rmul__ = scale
 
@@ -78,17 +116,15 @@ class ExactVector:
 
     def conjugate(self) -> "ExactVector":
         """Componentwise Galois conjugate (the perpendicular-space image)."""
-        return ExactVector(c.conjugate() for c in self.coords)
+        return self._build(c.conjugate() for c in self.coords)
 
     def dot(self, other: "ExactVector", gram: Gram = None) -> QuadraticRingElement:
-        if len(self.coords) != len(other.coords):
-            raise DomainError("dimension mismatch")
+        pairs = self._zip(other)
+        total = QuadraticRingElement(0, 0, self.kappa)
         if gram is None:
-            total = QuadraticRingElement(0, 0, self.kappa)
-            for a, b in zip(self.coords, other.coords):
+            for a, b in pairs:
                 total = total + a * b
             return total
-        total = QuadraticRingElement(0, 0, self.kappa)
         for i, a in enumerate(self.coords):
             for j, b in enumerate(other.coords):
                 total = total + a * gram[i][j] * b
@@ -101,22 +137,7 @@ class ExactVector:
         return tuple(c.sort_key() for c in self.coords)
 
     def __repr__(self):
-        return "ExactVector(%s)" % ", ".join(repr(c) for c in self.coords)
-
-
-def numerators_over_common_den(cells) -> tuple[list[int], list[int], int]:
-    """(ps, qs, den) with cell i equal to (ps[i] + qs[i]*sqrt(kappa))/den,
-    over the least common denominator den of the cells."""
-    den = 1
-    for c in cells:
-        if den % c.den:
-            den = lcm(den, c.den)
-    ps, qs = [], []
-    for c in cells:
-        s = den // c.den
-        ps.append(c.p * s)
-        qs.append(c.q * s)
-    return ps, qs, den
+        return "%s(%s)" % (type(self).__name__, ", ".join(repr(c) for c in self.coords))
 
 
 def reflect(v: ExactVector, r: ExactVector, gram: Gram = None) -> ExactVector:

@@ -294,3 +294,29 @@ def test_diffract_rejects_malformed_k_list(capsys, tmp_path, k_list):
     assert code == 1
     assert captured.err.startswith("error:") and "3-component" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_diffract_refuses_a_patch_without_points(capsys, tmp_path):
+    patch = tmp_path / "patch.csv"
+    patch.write_text("# target,H3-bcc,window,cell,scale,1.0,radius,3.0\n"
+                     "x0,x1,x2,exact0,exact1,exact2,c0,c1,c2,c3,c4,c5\n")
+    klist = tmp_path / "k.json"
+    klist.write_text("[[0, 0, 0], [1, 0, 0]]")
+    out = tmp_path / "i.csv"
+    code = main(["diffract", "--in", str(patch), "--k-list", str(klist),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "empty patch" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_project_h4_cell_window_names_the_ball_window(capsys, tmp_path):
+    path = tmp_path / "x.csv"
+    code = main(["project", "--target", "H4", "--radius", "2", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "--window ball" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not path.exists()

@@ -108,7 +108,7 @@ def test_no_embedding_for_2d_targets():
 
 def test_parallel_and_perpendicular_are_galois_partners():
     emb = embedding("H3-primitive")
-    for i, gen in enumerate(emb.generators):
+    for i, gen in enumerate(ql("H3-primitive").member_basis):
         assert np.allclose(emb.parallel[:, i], gen.to_floats())
         assert np.allclose(emb.perpendicular[:, i], gen.conjugate().to_floats())
 

@@ -19,6 +19,7 @@ from qlat.quaternions import (
     unit_icosians,
 )
 from qlat.ring import DomainError, QuadraticRingElement, golden, tau
+from qlat.vectors import ExactVector
 
 
 def test_unit_icosian_count_and_norms():
@@ -136,6 +137,21 @@ def test_matrix_realizations_match_quaternion_products():
         assert rm.apply(q.as_vector()) == qmul(q, a).as_vector()
 
 
+def test_vector_operations_on_quaternions_return_quaternions():
+    units = unit_icosians()
+    a, b, t = units[3], units[70], tau()
+    results = [a + b, a - b, -a, a.scale(t), a.conjugate(), qconj(a),
+               (a + b).scale(t) - a]
+    for q in results:
+        assert type(q) is GoldenQuaternion
+        assert qmul(q, b) == object_qmul(q, b)
+        assert qnorm(q) == object_qmul(q, qconj(q)).w
+    assert a + b == a.as_vector() + b.as_vector()
+    assert hash(a) == hash(a.as_vector())
+    with pytest.raises(DomainError):
+        a + ExactVector((1, 0, 0))
+
+
 def test_require_unit_rejects_non_units():
     with pytest.raises(DomainError):
         require_unit(GoldenQuaternion(2, 0, 0, 0))
@@ -171,6 +187,18 @@ def test_qmul_matches_object_arithmetic_on_golden_quaternions(data):
 def test_qmul_matches_object_arithmetic_over_other_radicands(data, kappa):
     a, b = data.draw(_quaternions(kappa)), data.draw(_quaternions(kappa))
     _assert_same_components(qmul(a, b), object_qmul(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), kappa=st.sampled_from([2, 3, 5]))
+def test_left_right_matrices_match_object_products(data, kappa):
+    a = data.draw(_quaternions(kappa))
+    basis = [GoldenQuaternion(*(int(i == j) for j in range(4))) for i in range(4)]
+    for j, e in enumerate(basis):
+        _assert_same_components(
+            GoldenQuaternion(*(row[j] for row in left_matrix(a))), object_qmul(a, e))
+        _assert_same_components(
+            GoldenQuaternion(*(row[j] for row in right_matrix(a))), object_qmul(e, a))
 
 
 def test_qmul_refuses_mixed_radicands():

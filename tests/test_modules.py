@@ -17,7 +17,6 @@ from exact_oracle import (
     rule_membership,
 )
 from qlat.modules import (
-    _TABLE1,
     QL_NAMES,
     H4Residue,
     contains_root_copy,
@@ -304,7 +303,7 @@ _NON_INTEGRAL_UNITS = {5: QuadraticRingElement(21, 8, 5, 11),
 @pytest.mark.parametrize("name", QL_NAMES)
 def test_scale_period_rule_matches_power_by_power_oracle(name):
     qlm = ql(name)
-    u = fundamental_unit(_TABLE1[name][0]).unit
+    u = fundamental_unit(qlm.kappa).unit
     odd = _NON_INTEGRAL_UNITS[u.kappa]
     assert abs(odd.norm()) == 1 and not odd.is_ring_integer()
     for factor in (u, -u, u * u, u ** 3, u ** -1, odd):

@@ -17,6 +17,7 @@ from qlat.ring import (
     tau,
     totient,
 )
+from qlat.vectors import ExactVector
 
 KAPPAS = (2, 3, 5)
 
@@ -111,6 +112,25 @@ def test_numbers_divide_by_elements(a, p, den):
     f = Fraction(p, den)
     assert f / a == QuadraticRingElement.rational(f, a.kappa) / a
     assert (p / a) * a == p
+
+
+@given(st.sampled_from(KAPPAS), st.integers(1, 12), st.integers(1, 4),
+       st.booleans(), st.data())
+def test_vectors_from_numerators_equal_and_hash_like_built_ones(
+        kappa, den, scale, rational, data):
+    d = data.draw(st.integers(1, 4))
+    ps = data.draw(st.lists(small_ints, min_size=d, max_size=d))
+    qs = [0] * d if rational else data.draw(st.lists(small_ints, min_size=d, max_size=d))
+    # scale > 1 gives a denominator that is not reduced
+    v = ExactVector.from_numerators([scale * x for x in ps + qs], scale * den, kappa)
+    if rational:
+        w = ExactVector(Fraction(p, den) for p in ps)
+    else:
+        w = ExactVector(QuadraticRingElement(p, q, kappa, den) for p, q in zip(ps, qs))
+        assert v.kappa == w.kappa == kappa
+    assert v == w and hash(v) == hash(w)
+    x, lcd = w.numerators()
+    assert den % lcd == 0 and ExactVector.from_numerators(x, lcd, kappa) == w
 
 
 def test_fundamental_units():
