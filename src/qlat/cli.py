@@ -91,6 +91,9 @@ def cmd_icosians(args):
 def cmd_member(args):
     qlm = modules.ql(args.ql)
     v = textio.parse_exact_vector(args.vector, qlm.kappa)
+    if v.dim != qlm.dim:
+        raise DomainError(f"{qlm.name} vectors have {qlm.dim} coordinates, "
+                          f"not {v.dim}")
     res = modules.membership(qlm, v)
     if res.member:
         coeff_text = [str(c) for c in res.coefficients]

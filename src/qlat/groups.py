@@ -14,19 +14,13 @@ as Q -> conj(q1) Q q2 (optionally with quaternion conjugation of Q).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 import numpy as np
 
 from . import kernels
-from .quaternions import (
-    GoldenQuaternion,
-    left_matrix,
-    qconj,
-    require_unit,
-    right_matrix,
-)
+from .quaternions import GoldenQuaternion, hamilton_matrix, qconj, require_unit
 from .ring import DomainError, QuadraticRingElement
 from .roots import RootSystemId, gram, is_quadratic, kappa_of, simple_roots
 from .vectors import ExactVector
@@ -214,19 +208,28 @@ def compact_to_matrix(arr: np.ndarray, kappa: int) -> GroupElement:
 
 
 class ReflectionGroup:
-    """A finite matrix group whose elements share one (order, d, d, 2)
-    int64 array of numerator pairs over the denominator 4."""
+    """A finite matrix group: one (order, d, d, 2) int64 array of numerator
+    pairs over the denominator 4.  Order, orbits and the byte set read the
+    array; the GroupElement objects are built only when first iterated,
+    indexed or tested for membership."""
 
     def __init__(self, system: RootSystemId, numerators: np.ndarray, kappa: int):
         self.system = system
         self.kappa = kappa
         self.numerators = numerators
-        self.elements = [GroupElement._wrap(m, 4, kappa) for m in numerators]
-        self._index = {g: i for i, g in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.numerators)
+
+    @cached_property
+    def elements(self) -> list[GroupElement]:
+        """One GroupElement per row of numerators, built on first read."""
+        return [GroupElement._wrap(m, 4, self.kappa) for m in self.numerators]
+
+    @cached_property
+    def _index(self) -> dict:
+        return {g: i for i, g in enumerate(self.elements)}
 
     def __contains__(self, g: GroupElement) -> bool:
         return g in self._index
@@ -300,10 +303,16 @@ def h4_element_from_quaternions(
     """Matrix of Q -> conj(q1) Q q2, or conj(q1) conj(Q) q2."""
     require_unit(q1)
     require_unit(q2)
-    m = GroupElement(left_matrix(qconj(q1))) @ GroupElement(right_matrix(q2))
+    m = _quaternion_map(qconj(q1)) @ _quaternion_map(q2, right=True)
     if conjugating:
         m = m @ _quaternion_conjugation_matrix()
     return m
+
+
+def _quaternion_map(a: GoldenQuaternion, right: bool = False) -> GroupElement:
+    """The element of Q -> a*Q, or of Q -> Q*a when right."""
+    x, den = hamilton_matrix(a, right)
+    return GroupElement._wrap(*_canonical(_int_array(x, (4, 4, 2)), den), a.kappa)
 
 
 def _quaternion_conjugation_matrix() -> GroupElement:
@@ -322,13 +331,13 @@ def enumerate_h4_quaternion_maps():
 
     units = unit_icosians()
     right_arrs = np.stack(
-        [matrix_to_compact(GroupElement(right_matrix(u))) for u in units]
+        [matrix_to_compact(_quaternion_map(u, right=True)) for u in units]
     )
     conj = matrix_to_compact(_quaternion_conjugation_matrix())
     seen = set()
     raw = 0
     for u in units:
-        left = matrix_to_compact(GroupElement(left_matrix(qconj(u))))
+        left = matrix_to_compact(_quaternion_map(qconj(u)))
         # left- and right-multiplication matrices commute, so the batch
         # runs over right factors with a fixed trailing left factor
         prods = kernels.quad_matmul_batch(right_arrs, left, 5)

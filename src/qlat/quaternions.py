@@ -8,6 +8,7 @@ delegates to the H4 quasilattice constraint machinery.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .ring import DomainError, QuadraticRingElement
 from .roots import H4, roots
@@ -45,21 +46,39 @@ def qmul(a: GoldenQuaternion, b: GoldenQuaternion) -> GoldenQuaternion:
 
     With a = (ap + aq*sqrt(kappa))/da componentwise and b likewise, the
     product is (ap*bp + kappa*aq*bq + (ap*bq + aq*bp)*sqrt(kappa))/(da*db)
-    in Hamilton products of integer 4-tuples.
+    in Hamilton products of integer 4-tuples, written out below.  The
+    result keeps its integer form: reduced by the gcd of its denominator
+    and all eight numerators, that form is over the least common
+    denominator of the four coordinates.
     """
     kappa = a.kappa if a.kappa == b.kappa else radicand(a.coords + b.coords)
-    x, da = a.numerators()
-    y, db = b.numerators()
-    ap, aq, bp, bq = x[:4], x[4:], y[:4], y[4:]
-    den = da * db
-    # ring elements over the product's radicand: no coercion or rescan
-    out = object.__new__(GoldenQuaternion)
-    out.coords = tuple(
-        QuadraticRingElement(u + kappa * v, s + t, kappa, den)
-        for u, v, s, t in zip(_hamilton(ap, bp), _hamilton(aq, bq),
-                              _hamilton(ap, bq), _hamilton(aq, bp))
+    (aw, ax, ay, az, cw, cx, cy, cz), da = a.numerators()
+    (bw, bx, by, bz, dw, dx, dy, dz), db = b.numerators()
+    x = (
+        aw * bw - ax * bx - ay * by - az * bz
+        + kappa * (cw * dw - cx * dx - cy * dy - cz * dz),
+        aw * bx + ax * bw + ay * bz - az * by
+        + kappa * (cw * dx + cx * dw + cy * dz - cz * dy),
+        aw * by - ax * bz + ay * bw + az * bx
+        + kappa * (cw * dy - cx * dz + cy * dw + cz * dx),
+        aw * bz + ax * by - ay * bx + az * bw
+        + kappa * (cw * dz + cx * dy - cy * dx + cz * dw),
+        aw * dw - ax * dx - ay * dy - az * dz + cw * bw - cx * bx - cy * by - cz * bz,
+        aw * dx + ax * dw + ay * dz - az * dy + cw * bx + cx * bw + cy * bz - cz * by,
+        aw * dy - ax * dz + ay * dw + az * dx + cw * by - cx * bz + cy * bw + cz * bx,
+        aw * dz + ax * dy - ay * dx + az * dw + cw * bz + cx * by - cy * bx + cz * bw,
     )
+    den = da * db
+    g = gcd(den, *x)
+    if g > 1:
+        x = tuple(v // g for v in x)
+        den //= g
+    build = QuadraticRingElement._from_ints
+    out = object.__new__(GoldenQuaternion)
+    out.coords = (build(x[0], x[4], kappa, den), build(x[1], x[5], kappa, den),
+                  build(x[2], x[6], kappa, den), build(x[3], x[7], kappa, den))
     out.kappa = kappa
+    out._form = x, den
     return out
 
 
@@ -100,24 +119,37 @@ def is_in_icosian_ring(q: GoldenQuaternion) -> bool:
 _UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
+def hamilton_matrix(a: GoldenQuaternion, right: bool = False) -> tuple[list[int], int]:
+    """(x, den): the matrix of Q -> a*Q, or of Q -> Q*a when right, on
+    (w,x,y,z) columns, as the row-major numerators of a (4, 4, 2) array
+    over den; entry (i, j) is (x[8i+2j] + x[8i+2j+1]*sqrt(kappa))/den.
+
+    Column j is the product with e_j, which is integral, so the
+    sqrt(kappa) parts of a's integer form stay apart.
+    """
+    x, den = a.numerators()
+    product = (lambda u, e: _hamilton(e, u)) if right else _hamilton
+    p = [product(x[:4], e) for e in _UNITS]
+    q = [product(x[4:], e) for e in _UNITS]
+    return [v for i in range(4) for j in range(4) for v in (p[j][i], q[j][i])], den
+
+
 def left_matrix(a: GoldenQuaternion):
     """Matrix (rows of column images) of Q -> a*Q on (w,x,y,z) columns."""
-    return _matrix(a, _hamilton)
+    return _matrix(a, False)
 
 
 def right_matrix(b: GoldenQuaternion):
     """Matrix of Q -> Q*b."""
-    return _matrix(b, lambda u, e: _hamilton(e, u))
+    return _matrix(b, True)
 
 
-def _matrix(a: GoldenQuaternion, product):
-    """Rows of the matrix whose column j is product(a, e_j), on a's
-    integer form: e_j is integral, so the sqrt(kappa) parts stay apart."""
-    x, den = a.numerators()
-    p = [product(x[:4], e) for e in _UNITS]
-    q = [product(x[4:], e) for e in _UNITS]
-    return tuple(tuple(QuadraticRingElement(p[j][i], q[j][i], a.kappa, den)
-                       for j in range(4)) for i in range(4))
+def _matrix(a: GoldenQuaternion, right: bool):
+    """The rows of hamilton_matrix(a, right) as ring elements."""
+    x, den = hamilton_matrix(a, right)
+    build = QuadraticRingElement._from_ints
+    return tuple(tuple(build(x[k], x[k + 1], a.kappa, den)
+                       for k in range(8 * i, 8 * i + 8, 2)) for i in range(4))
 
 
 def require_unit(q: GoldenQuaternion) -> None:

@@ -62,6 +62,22 @@ class QuadraticRingElement:
 
     # -- constructors -------------------------------------------------
 
+    @classmethod
+    def _from_ints(cls, p: int, q: int, kappa: int, den: int) -> "QuadraticRingElement":
+        """(p + q*sqrt(kappa))/den from Python ints with den > 0: the
+        canonical form without the casts and the sign fix-up."""
+        el = object.__new__(cls)
+        g = gcd(p, q, den)
+        if g > 1:
+            p //= g
+            q //= g
+            den //= g
+        el.p = p
+        el.q = q
+        el.kappa = kappa
+        el.den = den
+        return el
+
     @staticmethod
     def rational(x, kappa: int = 5) -> "QuadraticRingElement":
         f = Fraction(x)

@@ -36,7 +36,7 @@ class ExactVector:
     constructors take other arguments (GoldenQuaternion) keep their type.
     """
 
-    __slots__ = ("coords", "kappa")
+    __slots__ = ("coords", "kappa", "_form")
 
     def __init__(self, coords: Iterable[QuadraticRingElement]):
         self.coords = tuple(
@@ -44,6 +44,7 @@ class ExactVector:
             for c in coords
         )
         self.kappa = radicand(self.coords)
+        self._form = None
 
     @classmethod
     def _build(cls, coords: Iterable[QuadraticRingElement]) -> "ExactVector":
@@ -51,27 +52,34 @@ class ExactVector:
         v = object.__new__(cls)
         v.coords = tuple(coords)
         v.kappa = radicand(v.coords)
+        v._form = None
         return v
 
     @classmethod
     def from_numerators(cls, x: Sequence[int], den: int, kappa: int) -> "ExactVector":
-        """The vector whose integer form is x over den (see the class)."""
+        """The vector whose integer form is x over den (see the class); x
+        and den are Python ints, and den must be positive."""
+        if den < 1:
+            raise DomainError(f"den must be positive, got {den}")
         d = len(x) // 2
-        return cls._build(QuadraticRingElement(x[i], x[i + d], kappa, den)
-                          for i in range(d))
+        build = QuadraticRingElement._from_ints
+        return cls._build(build(x[i], x[i + d], kappa, den) for i in range(d))
 
-    def numerators(self) -> tuple[list[int], int]:
-        """(x, den): the integer form over the least common denominator."""
-        den = 1
-        for c in self.coords:
-            if den % c.den:
-                den = lcm(den, c.den)
-        ps, qs = [], []
-        for c in self.coords:
-            s = den // c.den
-            ps.append(c.p * s)
-            qs.append(c.q * s)
-        return ps + qs, den
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """(x, den): the integer form over the least common denominator,
+        computed on first call and kept (the vector is immutable)."""
+        if self._form is None:
+            den = 1
+            for c in self.coords:
+                if den % c.den:
+                    den = lcm(den, c.den)
+            ps, qs = [], []
+            for c in self.coords:
+                s = den // c.den
+                ps.append(c.p * s)
+                qs.append(c.q * s)
+            self._form = tuple(ps + qs), den
+        return self._form
 
     @property
     def dim(self) -> int:

@@ -128,6 +128,15 @@ def test_member_no(capsys):
     assert code == 0 and out.startswith("non-member")
 
 
+@pytest.mark.parametrize("ql,vector,dim", [("H4", "1,2", 4), ("H3-fcc", "1,0,0,0", 3)])
+def test_member_refuses_a_vector_of_the_wrong_length(capsys, ql, vector, dim):
+    code = main(["member", "--ql", ql, "--vector", vector])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"{dim} coordinates" in captured.err
+
+
 def test_member_bad_ql(capsys):
     code = main(["member", "--ql", "H9", "--vector", "1,0"])
     captured = capsys.readouterr()

@@ -267,6 +267,20 @@ def test_integer_paths_build_no_entries(monkeypatch):
     assert len(group.compact_byte_set()) == 14400
 
 
+def test_group_elements_are_built_on_first_read():
+    group = generate.__wrapped__(H4)    # a fresh group, leaving the cache as is
+    assert group.order == 14400
+    assert len(orbit(group, roots(H4)[0])) == 120
+    assert len(group.compact_byte_set()) == 14400
+    assert group.entry_triples().shape == (14400, 4, 4, 3)
+    assert "elements" not in group.__dict__ and "_index" not in group.__dict__
+    units = unit_icosians()
+    g = h4_element_from_quaternions(units[5], units[17])
+    assert g in group and identity_element(4) in group
+    assert "elements" in group.__dict__
+    assert sum(1 for _ in group) == 14400 and group.elements[0] == identity_element(4)
+
+
 def test_generate_redoes_the_closure_after_cache_clear(monkeypatch):
     calls = []
     bfs = groups._bfs_compact

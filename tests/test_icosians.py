@@ -1,6 +1,7 @@
 """The unit icosians and the icosian ring."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,41 @@ def test_qmul_matches_object_arithmetic_on_golden_quaternions(data):
 def test_qmul_matches_object_arithmetic_over_other_radicands(data, kappa):
     a, b = data.draw(_quaternions(kappa)), data.draw(_quaternions(kappa))
     _assert_same_components(qmul(a, b), object_qmul(a, b))
+
+
+def _assert_canonical_with_its_form(q):
+    """q's kept integer form is the one a fresh vector computes, and every
+    coordinate is in canonical form."""
+    assert q.numerators() == ExactVector(q.coords).numerators()
+    for c in q.coords:
+        assert c.den > 0 and gcd(c.p, c.q, c.den) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), kappa=st.sampled_from([2, 3, 5]))
+def test_chained_qmul_matches_object_arithmetic(data, kappa):
+    # the products' kept forms feed the next product
+    a, b, c = (data.draw(_quaternions(kappa)) for _ in range(3))
+    ab, want_ab = qmul(a, b), object_qmul(a, b)
+    for got, want in ((ab, want_ab), (qmul(ab, c), object_qmul(want_ab, c)),
+                      (qmul(c, ab), object_qmul(c, want_ab)),
+                      (qmul(ab, ab), object_qmul(want_ab, want_ab))):
+        _assert_same_components(got, want)
+        assert hash(got) == hash(want)
+        _assert_canonical_with_its_form(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_qmul_of_a_rational_quaternion_labelled_kappa_2_and_a_golden_one(data):
+    rational = st.builds(lambda p, den: QuadraticRingElement(p, 0, 2, den),
+                         st.integers(-30, 30), st.integers(1, 8))
+    a = data.draw(st.builds(GoldenQuaternion, rational, rational, rational, rational))
+    b = data.draw(_quaternions(5))
+    for got, want in ((qmul(a, b), object_qmul(a, b)), (qmul(b, a), object_qmul(b, a))):
+        _assert_same_components(got, want)
+        assert got == want and hash(got) == hash(want)
+        _assert_canonical_with_its_form(got)
 
 
 @settings(max_examples=100, deadline=None)

@@ -133,6 +133,12 @@ def test_vectors_from_numerators_equal_and_hash_like_built_ones(
     assert den % lcd == 0 and ExactVector.from_numerators(x, lcd, kappa) == w
 
 
+@pytest.mark.parametrize("den", [0, -2])
+def test_vectors_from_numerators_refuse_a_non_positive_denominator(den):
+    with pytest.raises(DomainError):
+        ExactVector.from_numerators([1, 2, 0, 1], den, 5)
+
+
 def test_fundamental_units():
     # tau, the silver ratio, and 2 + sqrt(3)
     assert fundamental_unit(5).unit == tau()
