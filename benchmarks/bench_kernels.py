@@ -1,6 +1,6 @@
 """Time the three numpy kernels, the integer-backed group and quaternion
-paths, the scalar module coordinates and the patch path (generate, write,
-read).
+paths, exact vector arithmetic, the scalar module coordinates and the
+patch path (generate, write, read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
@@ -98,6 +98,18 @@ def bench_icosian_products():
             lambda: [qmul(a, b) for a in units for b in units])
 
 
+def bench_vector_arithmetic():
+    from qlat.ring import tau
+    from qlat.roots import H4, roots
+
+    rs, t = roots(H4), tau()
+    pairs = [(rs[i % 120], rs[(7 * i + 3) % 120]) for i in range(1000)]
+    return [("ExactVector a + b (H4), 1000 calls",
+             lambda: [a + b for a, b in pairs]),
+            ("ExactVector.scale(tau) (H4), 1000 calls",
+             lambda: [a.scale(t) for a, _ in pairs])]
+
+
 def bench_membership(name):
     from qlat.modules import membership, ql, random_member
 
@@ -141,6 +153,7 @@ def main():
         bench_icosian_products,
         partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
         bench_from_basis_coefficients_h4)]
+    benches += bench_vector_arithmetic()
     with tempfile.TemporaryDirectory() as workdir:
         for label, fn in benches + bench_patch_h4(workdir):
             print(f"{label:40s} {timeit(fn) * 1e3:8.2f} ms")

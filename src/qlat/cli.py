@@ -12,7 +12,7 @@ import numpy as np
 
 from . import cutproject, groups, modules, quaternions, textio
 from .ring import DomainError, fundamental_unit
-from .roots import RootSystemId, is_quadratic, roots
+from .roots import RootSystemId, is_quadratic, root_count_decomposition, roots
 
 
 def _emit(args, payload, text_lines):
@@ -25,11 +25,11 @@ def _emit(args, payload, text_lines):
 
 def cmd_roots(args):
     system = RootSystemId.parse(args.system)
-    rs = roots(system)
     if args.count:
-        _emit(args, {"system": str(system), "count": len(rs)},
-              [str(len(rs))])
+        count = sum(root_count_decomposition(system))
+        _emit(args, {"system": str(system), "count": count}, [str(count)])
         return 0
+    rs = roots(system)
     if is_quadratic(system):
         payload = {
             "system": str(system),

@@ -154,19 +154,15 @@ def _zonotope_facets(gens: np.ndarray, scale: float):
     if d != 3:
         raise DomainError(f"cell windows are built for 3D perpendicular space, "
                           f"not {d}D; use a ball window (--window ball)")
-    normals, supports = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            nv = np.cross(gens[:, i], gens[:, j])
-            norm = np.linalg.norm(nv)
-            if norm < 1e-12:
-                continue
-            nv = nv / norm
-            if any(np.allclose(nv, m) or np.allclose(nv, -m) for m in normals):
-                continue
-            normals.append(nv)
-            supports.append(0.5 * scale * np.abs(nv @ gens).sum())
-    return np.array(normals), np.array(supports)
+    # unit normals of the planes spanned by each pair of generators, the
+    # first of each parallel family kept
+    i, j = np.triu_indices(n, 1)
+    normals = np.cross(gens[:, i].T, gens[:, j].T)
+    norms = np.linalg.norm(normals, axis=1)
+    normals = normals[norms >= 1e-12] / norms[norms >= 1e-12, None]
+    parallel = np.abs(normals @ normals.T) > 1 - 1e-9
+    normals = normals[~np.tril(parallel, -1).any(axis=1)]
+    return normals, 0.5 * scale * np.abs(normals @ gens).sum(axis=1)
 
 
 def _window_circumradius(emb: Embedding, window: Window) -> float:

@@ -33,6 +33,13 @@ def _int_array(values, shape) -> np.ndarray:
     return np.array(values, dtype=object if wide else np.int64).reshape(shape)
 
 
+def _byte_rows(arr: np.ndarray) -> list[bytes]:
+    """The bytes of each row arr[i], sliced from one tobytes() buffer."""
+    raw = arr.tobytes()
+    size = len(raw) // len(arr) if len(arr) else 1
+    return [raw[k:k + size] for k in range(0, len(raw), size)]
+
+
 def _canonical(numerators: np.ndarray, den: int):
     """(numerators, den) for the same matrix with den the least multiple of
     4 that clears every entry."""
@@ -238,7 +245,7 @@ class ReflectionGroup:
         return iter(self.elements)
 
     def compact_byte_set(self) -> frozenset:
-        return frozenset(m.tobytes() for m in self.numerators)
+        return frozenset(_byte_rows(self.numerators))
 
     def entry_triples(self) -> np.ndarray:
         """(order, d, d, 3) array of the canonical [p, q, den] of every
@@ -252,17 +259,14 @@ def _bfs_compact(gens: list[GroupElement], kappa: int) -> np.ndarray:
     """Every product of the generators, in breadth-first order."""
     gen_arrs = [matrix_to_compact(g) for g in gens]
     ident = matrix_to_compact(identity_element(gens[0].dim))
-    size = ident.nbytes
     seen = {ident.tobytes()}
     frontier = ident[None]
     levels = [frontier]
     while len(frontier):
         prods = np.concatenate(
             [kernels.quad_matmul_batch(frontier, ga, kappa) for ga in gen_arrs])
-        raw = prods.tobytes()
         new = []
-        for i in range(len(prods)):
-            key = raw[i * size:(i + 1) * size]
+        for i, key in enumerate(_byte_rows(prods)):
             if key not in seen:
                 seen.add(key)
                 new.append(i)
@@ -343,7 +347,6 @@ def enumerate_h4_quaternion_maps():
         prods = kernels.quad_matmul_batch(right_arrs, left, 5)
         conj_prods = kernels.quad_matmul_batch(prods, conj, 5)
         raw += 2 * prods.shape[0]
-        for i in range(prods.shape[0]):
-            seen.add(prods[i].tobytes())
-            seen.add(conj_prods[i].tobytes())
+        seen.update(_byte_rows(prods))
+        seen.update(_byte_rows(conj_prods))
     return raw, frozenset(seen)

@@ -125,7 +125,7 @@ class QLModule:
         """Numerators of v's basis coefficients over one denominator."""
         if v.dim != self.dim:
             raise DomainError("dimension mismatch")
-        if v.kappa != self.kappa and any(c.q for c in v.coords):
+        if v.kappa != self.kappa and any(v.form[self.dim:]):
             raise DomainError(
                 f"vector ring sqrt({v.kappa}) does not match QL ring sqrt({self.kappa})"
             )

@@ -8,11 +8,10 @@ delegates to the H4 quasilattice constraint machinery.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .ring import DomainError, QuadraticRingElement
 from .roots import H4, roots
-from .vectors import ExactVector, radicand
+from .vectors import ExactVector
 
 
 class GoldenQuaternion(ExactVector):
@@ -29,10 +28,12 @@ class GoldenQuaternion(ExactVector):
 
     @staticmethod
     def from_vector(v: ExactVector) -> "GoldenQuaternion":
-        return GoldenQuaternion(*v.coords)
+        if v.dim != 4:
+            raise DomainError(f"a quaternion has 4 components, not {v.dim}")
+        return GoldenQuaternion.from_numerators(v.form, v.den, v.kappa)
 
     def as_vector(self) -> ExactVector:
-        return ExactVector(self.coords)
+        return ExactVector.from_numerators(self.form, self.den, self.kappa)
 
     def components(self):
         return self.coords
@@ -47,13 +48,11 @@ def qmul(a: GoldenQuaternion, b: GoldenQuaternion) -> GoldenQuaternion:
     With a = (ap + aq*sqrt(kappa))/da componentwise and b likewise, the
     product is (ap*bp + kappa*aq*bq + (ap*bq + aq*bp)*sqrt(kappa))/(da*db)
     in Hamilton products of integer 4-tuples, written out below.  The
-    result keeps its integer form: reduced by the gcd of its denominator
-    and all eight numerators, that form is over the least common
-    denominator of the four coordinates.
+    result is built from its integer form alone.
     """
-    kappa = a.kappa if a.kappa == b.kappa else radicand(a.coords + b.coords)
-    (aw, ax, ay, az, cw, cx, cy, cz), da = a.numerators()
-    (bw, bx, by, bz, dw, dx, dy, dz), db = b.numerators()
+    kappa = a.kappa if a.kappa == b.kappa else a._match(b)
+    (aw, ax, ay, az, cw, cx, cy, cz), da = a.form, a.den
+    (bw, bx, by, bz, dw, dx, dy, dz), db = b.form, b.den
     x = (
         aw * bw - ax * bx - ay * by - az * bz
         + kappa * (cw * dw - cx * dx - cy * dy - cz * dz),
@@ -68,18 +67,7 @@ def qmul(a: GoldenQuaternion, b: GoldenQuaternion) -> GoldenQuaternion:
         aw * dy - ax * dz + ay * dw + az * dx + cw * by - cx * bz + cy * bw + cz * bx,
         aw * dz + ax * dy - ay * dx + az * dw + cw * bz + cx * by - cy * bx + cz * bw,
     )
-    den = da * db
-    g = gcd(den, *x)
-    if g > 1:
-        x = tuple(v // g for v in x)
-        den //= g
-    build = QuadraticRingElement._from_ints
-    out = object.__new__(GoldenQuaternion)
-    out.coords = (build(x[0], x[4], kappa, den), build(x[1], x[5], kappa, den),
-                  build(x[2], x[6], kappa, den), build(x[3], x[7], kappa, den))
-    out.kappa = kappa
-    out._form = x, den
-    return out
+    return GoldenQuaternion.from_numerators(x, da * db, kappa)
 
 
 def _hamilton(a, b):
@@ -95,7 +83,9 @@ def _hamilton(a, b):
 
 
 def qconj(a: GoldenQuaternion) -> GoldenQuaternion:
-    return GoldenQuaternion(a.w, -a.x, -a.y, -a.z)
+    pw, px, py, pz, qw, qx, qy, qz = a.form
+    return GoldenQuaternion.from_numerators((pw, -px, -py, -pz, qw, -qx, -qy, -qz),
+                                            a.den, a.kappa)
 
 
 def qnorm(a: GoldenQuaternion) -> QuadraticRingElement:
@@ -147,8 +137,7 @@ def right_matrix(b: GoldenQuaternion):
 def _matrix(a: GoldenQuaternion, right: bool):
     """The rows of hamilton_matrix(a, right) as ring elements."""
     x, den = hamilton_matrix(a, right)
-    build = QuadraticRingElement._from_ints
-    return tuple(tuple(build(x[k], x[k + 1], a.kappa, den)
+    return tuple(tuple(QuadraticRingElement(x[k], x[k + 1], a.kappa, den)
                        for k in range(8 * i, 8 * i + 8, 2)) for i in range(4))
 
 

@@ -9,18 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 
 
 class DomainError(ValueError):
     """Raised when an operation leaves its mathematical domain."""
-
-
-@lru_cache(maxsize=4096)
-def _fraction_hash(p: int, den: int) -> int:
-    # vectors and quaternions repeat a handful of rational coordinates
-    return hash(Fraction(p, den))
 
 
 def _squarefree(n: int) -> bool:
@@ -61,22 +54,6 @@ class QuadraticRingElement:
         self.den = den
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def _from_ints(cls, p: int, q: int, kappa: int, den: int) -> "QuadraticRingElement":
-        """(p + q*sqrt(kappa))/den from Python ints with den > 0: the
-        canonical form without the casts and the sign fix-up."""
-        el = object.__new__(cls)
-        g = gcd(p, q, den)
-        if g > 1:
-            p //= g
-            q //= g
-            den //= g
-        el.p = p
-        el.q = q
-        el.kappa = kappa
-        el.den = den
-        return el
 
     @staticmethod
     def rational(x, kappa: int = 5) -> "QuadraticRingElement":
@@ -230,7 +207,7 @@ class QuadraticRingElement:
             return hash((self.p, self.q, self.den, self.kappa))
         if self.den == 1:
             return hash(self.p)
-        return _fraction_hash(self.p, self.den)
+        return hash(Fraction(self.p, self.den))
 
     def __lt__(self, other):
         return (self - other)._sign() < 0

@@ -24,6 +24,9 @@ from .vectors import ExactVector, reflect
 #: I2(n) whose coordinate ring is a real quadratic ring, keyed to kappa.
 QUADRATIC_I2 = {5: 5, 8: 2, 10: 5, 12: 3}
 
+#: The most float roots roots() builds for a non-quadratic I2(n).
+MAX_FLOAT_ROOTS = 100_000
+
 _EVEN_PERMS_3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _EVEN_PERMS_4 = (
     (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2),
@@ -188,6 +191,9 @@ def roots(system: RootSystemId):
             ]
     else:
         n = system.n
+        if 2 * n > MAX_FLOAT_ROOTS:
+            raise DomainError(f"{system} has {2 * n} roots, over the limit of "
+                              f"{MAX_FLOAT_ROOTS} float roots")
         angles = (
             [math.pi * k / n for k in range(2 * n)]
             if n % 2 == 1

@@ -8,7 +8,9 @@ with quadratic coordinates, so those vectors live in an oblique basis
 
 from __future__ import annotations
 
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -18,72 +20,62 @@ from .ring import DomainError, QuadraticRingElement
 Gram = Optional[Sequence[Sequence[QuadraticRingElement]]]
 
 
-def radicand(cells) -> int:
-    """The one radicand kappa of the irrational cells of a sequence, or the
-    first cell's when all are rational (5 when there are none)."""
-    kappas = {c.kappa for c in cells if c.q}
-    if len(kappas) > 1:
-        raise DomainError(f"mixed radicands: {sorted(kappas)}")
-    return kappas.pop() if kappas else cells[0].kappa if cells else 5
-
-
 class ExactVector:
-    """Immutable tuple of QuadraticRingElement sharing one radicand.
-
-    Its integer form is x = (p_1, ..., p_d, q_1, ..., q_d) over one
-    denominator den, coordinate i being (p_i + q_i*sqrt(kappa))/den.
-    Arithmetic builds results of the caller's type, so subclasses whose
-    constructors take other arguments (GoldenQuaternion) keep their type.
+    """Immutable exact vector, stored as its integer form: the Python ints
+    form = (p_1, ..., p_d, q_1, ..., q_d) over the least common denominator
+    den, coordinate i being (p_i + q_i*sqrt(kappa))/den.  Arithmetic,
+    equality and hashing work on these integers and build results of the
+    caller's type (a GoldenQuaternion stays one); the QuadraticRingElement
+    coordinates ``coords`` are built on first read.
     """
 
-    __slots__ = ("coords", "kappa", "_form")
+    __slots__ = ("form", "den", "kappa", "_coords")
 
     def __init__(self, coords: Iterable[QuadraticRingElement]):
-        self.coords = tuple(
+        cells = tuple(
             c if isinstance(c, QuadraticRingElement) else QuadraticRingElement.rational(c)
             for c in coords
         )
-        self.kappa = radicand(self.coords)
-        self._form = None
-
-    @classmethod
-    def _build(cls, coords: Iterable[QuadraticRingElement]) -> "ExactVector":
-        """The vector of ring elements coords, as a cls, without coercion."""
-        v = object.__new__(cls)
-        v.coords = tuple(coords)
-        v.kappa = radicand(v.coords)
-        v._form = None
-        return v
+        den = lcm(*(c.den for c in cells))
+        self.form = tuple([c.p * (den // c.den) for c in cells]
+                          + [c.q * (den // c.den) for c in cells])
+        kappas = {c.kappa for c in cells if c.q}
+        if len(kappas) > 1:
+            raise DomainError(f"mixed radicands: {sorted(kappas)}")
+        self.den = den
+        self.kappa = kappas.pop() if kappas else cells[0].kappa if cells else 5
+        self._coords = cells
 
     @classmethod
     def from_numerators(cls, x: Sequence[int], den: int, kappa: int) -> "ExactVector":
-        """The vector whose integer form is x over den (see the class); x
-        and den are Python ints, and den must be positive."""
+        """The vector of integer form x over den > 0 (Python ints); reducing
+        by gcd(den, *x) leaves the least common denominator."""
         if den < 1:
             raise DomainError(f"den must be positive, got {den}")
-        d = len(x) // 2
-        build = QuadraticRingElement._from_ints
-        return cls._build(build(x[i], x[i + d], kappa, den) for i in range(d))
+        g = gcd(den, *x)
+        v = object.__new__(cls)
+        v.form = tuple(a // g for a in x) if g > 1 else tuple(x)
+        v.den = den // g
+        v.kappa = kappa
+        v._coords = None
+        return v
+
+    @property
+    def coords(self) -> tuple[QuadraticRingElement, ...]:
+        """The coordinates as ring elements, built on first read."""
+        if self._coords is None:
+            x, d = self.form, self.dim
+            self._coords = tuple(QuadraticRingElement(x[i], x[i + d], self.kappa, self.den)
+                                 for i in range(d))
+        return self._coords
 
     def numerators(self) -> tuple[tuple[int, ...], int]:
-        """(x, den): the integer form over the least common denominator,
-        computed on first call and kept (the vector is immutable)."""
-        if self._form is None:
-            den = 1
-            for c in self.coords:
-                if den % c.den:
-                    den = lcm(den, c.den)
-            ps, qs = [], []
-            for c in self.coords:
-                s = den // c.den
-                ps.append(c.p * s)
-                qs.append(c.q * s)
-            self._form = tuple(ps + qs), den
-        return self._form
+        """(form, den): the integer form over the least common denominator."""
+        return self.form, self.den
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.form) // 2
 
     def __iter__(self):
         return iter(self.coords)
@@ -92,47 +84,84 @@ class ExactVector:
         return self.coords[i]
 
     def __len__(self):
-        return len(self.coords)
+        return self.dim
 
-    def _zip(self, other: "ExactVector"):
-        if len(self.coords) != len(other.coords):
+    def _radicand(self, kappa: int, q_parts: Sequence[int]) -> int:
+        """The radicand of a result of self and a factor over sqrt(kappa)
+        whose sqrt(kappa) numerators are q_parts: DomainError when both
+        are irrational over different radicands."""
+        if kappa == self.kappa or not any(q_parts):
+            return self.kappa
+        if any(self.form[self.dim:]):
+            raise DomainError(f"mixed radicands: sqrt({self.kappa}) vs sqrt({kappa})")
+        return kappa
+
+    def _match(self, other: "ExactVector") -> int:
+        """The radicand of a result of self and the vector other."""
+        if len(self.form) != len(other.form):
             raise DomainError("dimension mismatch")
-        return zip(self.coords, other.coords)
+        return self._radicand(other.kappa, other.form[other.dim:])
+
+    def _combine(self, other: "ExactVector", sign: int) -> "ExactVector":
+        kappa = self._match(other)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        return type(self).from_numerators(
+            [a * s + b * t for a, b in zip(self.form, other.form)], den, kappa)
 
     def __add__(self, other: "ExactVector") -> "ExactVector":
-        return self._build(a + b for a, b in self._zip(other))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactVector") -> "ExactVector":
-        return self._build(a - b for a, b in self._zip(other))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ExactVector":
-        return self._build(-a for a in self.coords)
+        return type(self).from_numerators([-a for a in self.form], self.den, self.kappa)
 
     def scale(self, s) -> "ExactVector":
-        return self._build(a * s for a in self.coords)
+        """s times the vector, for s an int, a Fraction or a ring element
+        (a + b*sqrt(kappa))/c: p' = a*p + kappa*b*q, q' = b*p + a*q over den*c."""
+        if isinstance(s, QuadraticRingElement):
+            a, b, c, kappa = s.p, s.q, s.den, self._radicand(s.kappa, (s.q,))
+        elif isinstance(s, (int, Fraction)):
+            s = Fraction(s)
+            a, b, c, kappa = s.numerator, 0, s.denominator, self.kappa
+        else:
+            raise TypeError(f"cannot scale an exact vector by {type(s).__name__}")
+        d = self.dim
+        pq = list(zip(self.form[:d], self.form[d:]))
+        return type(self).from_numerators(
+            [a * p + kappa * b * q for p, q in pq] + [b * p + a * q for p, q in pq],
+            self.den * c, kappa)
 
     __rmul__ = scale
 
     def __eq__(self, other):
-        return isinstance(other, ExactVector) and self.coords == other.coords
+        return (isinstance(other, ExactVector) and self.form == other.form
+                and self.den == other.den
+                and (self.kappa == other.kappa or not any(self.form[self.dim:])))
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.form, self.den))
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.form)
 
     def conjugate(self) -> "ExactVector":
         """Componentwise Galois conjugate (the perpendicular-space image)."""
-        return self._build(c.conjugate() for c in self.coords)
+        d = self.dim
+        return type(self).from_numerators(
+            self.form[:d] + tuple(-q for q in self.form[d:]), self.den, self.kappa)
 
     def dot(self, other: "ExactVector", gram: Gram = None) -> QuadraticRingElement:
-        pairs = self._zip(other)
-        total = QuadraticRingElement(0, 0, self.kappa)
+        kappa = self._match(other)
         if gram is None:
-            for a, b in pairs:
-                total = total + a * b
-            return total
+            d = self.dim
+            p, q, r, s = self.form[:d], self.form[d:], other.form[:d], other.form[d:]
+            return QuadraticRingElement(
+                sum(map(mul, p, r)) + kappa * sum(map(mul, q, s)),
+                sum(map(mul, p, s)) + sum(map(mul, q, r)), kappa, self.den * other.den)
+        total = QuadraticRingElement(0, 0, self.kappa)
         for i, a in enumerate(self.coords):
             for j, b in enumerate(other.coords):
                 total = total + a * gram[i][j] * b

@@ -71,6 +71,27 @@ def test_roots_count(capsys):
     assert code == 0 and out.strip() == "120"
 
 
+@pytest.mark.parametrize("system,count", [
+    ("H4", 120), ("I2-8", 16), ("I2-7", 14), ("I2-50001", 100002)])
+def test_roots_count_builds_no_roots(capsys, monkeypatch, system, count):
+    def refuse(system):
+        raise AssertionError("roots built")
+
+    monkeypatch.setattr("qlat.cli.roots", refuse)
+    code, out = run(capsys, "roots", "--system", system, "--count")
+    assert code == 0 and out.strip() == str(count)
+    code, out = run(capsys, "roots", "--system", system, "--count", "--format", "json")
+    assert json.loads(out) == {"system": system, "count": count}
+
+
+def test_roots_refuses_too_many_float_roots(capsys):
+    code = main(["roots", "--system", "I2-50001"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "limit" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_roots_json(capsys):
     code, out = run(capsys, "roots", "--system", "I2-8", "--format", "json")
     assert code == 0

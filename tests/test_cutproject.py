@@ -8,6 +8,7 @@ import pytest
 
 from qlat.cutproject import (
     Window,
+    _zonotope_facets,
     e8_bilinear,
     e8_gram,
     e8_roots,
@@ -140,6 +141,43 @@ def test_h4_cell_window_rejected():
     emb = embedding("H4")
     with pytest.raises(DomainError):
         generate_patch(emb, Window("cell"), 2.0)
+
+
+def _pairwise_facets(gens, scale):
+    """Zonotope facets pair by pair, each normal compared with those kept."""
+    normals, supports = [], []
+    for i in range(gens.shape[1]):
+        for j in range(i + 1, gens.shape[1]):
+            nv = np.cross(gens[:, i], gens[:, j])
+            if np.linalg.norm(nv) < 1e-12:
+                continue
+            nv = nv / np.linalg.norm(nv)
+            if not any(np.allclose(nv, m) or np.allclose(nv, -m) for m in normals):
+                normals.append(nv)
+                supports.append(0.5 * scale * np.abs(nv @ gens).sum())
+    return np.array(normals), np.array(supports)
+
+
+@pytest.mark.parametrize("target", ["H3-primitive", "H3-fcc", "H3-bcc"])
+def test_zonotope_facets_match_the_pairwise_loop(target):
+    gens = embedding(target).cell_generators
+    for scale in (1.0, 0.7, TAU):
+        got, want = _zonotope_facets(gens, scale), _pairwise_facets(gens, scale)
+        assert got[0].shape == want[0].shape == (15, 3)
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-15)
+
+
+def test_zonotope_facets_keep_one_normal_per_parallel_family():
+    # e1, e2, e3, e1+e2 and 2*e1: the planes of (e1, e2), (e1, e1+e2) and
+    # (e2, e1+e2) coincide, and e1 x 2*e1 spans none
+    gens = np.array([[1.0, 0, 0, 1, 2], [0, 1, 0, 1, 0], [0, 0, 1, 0, 0]])
+    got, want = _zonotope_facets(gens, 2.0), _pairwise_facets(gens, 2.0)
+    assert len(got[0]) == len(want[0]) == 4
+    np.testing.assert_allclose(got[0], want[0], atol=1e-15)
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-15)
+    with pytest.raises(DomainError, match="3D"):
+        _zonotope_facets(np.ones((4, 8)), 1.0)
 
 
 @pytest.mark.parametrize("radius,scale", [

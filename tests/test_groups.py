@@ -4,6 +4,7 @@ quaternion-pair realization of the largest group."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +266,13 @@ def test_integer_paths_build_no_entries(monkeypatch):
     assert g.apply(v) in frozenset(roots(H4))
     assert g @ g in group and g in group
     assert len(group.compact_byte_set()) == 14400
+
+
+def test_byte_rows_are_the_rows_bytes():
+    arr = np.arange(5 * 4 * 4 * 2, dtype=np.int64).reshape(5, 4, 4, 2)
+    assert groups._byte_rows(arr) == [m.tobytes() for m in arr]
+    assert groups._byte_rows(arr[1:3, ::-1]) == [m.tobytes() for m in arr[1:3, ::-1]]
+    assert groups._byte_rows(arr[:0]) == []
 
 
 def test_group_elements_are_built_on_first_read():

@@ -151,6 +151,8 @@ def test_vector_operations_on_quaternions_return_quaternions():
     assert hash(a) == hash(a.as_vector())
     with pytest.raises(DomainError):
         a + ExactVector((1, 0, 0))
+    with pytest.raises(DomainError):
+        GoldenQuaternion.from_vector(ExactVector((1, 0, 0)))
 
 
 def test_require_unit_rejects_non_units():

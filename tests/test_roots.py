@@ -48,6 +48,12 @@ def test_float_i2_root_count():
     assert not is_quadratic(I2(7))
 
 
+def test_too_many_float_roots_refused():
+    # 100 002 roots, one over the limit
+    with pytest.raises(DomainError, match="limit"):
+        roots(I2(50001))
+
+
 @pytest.mark.parametrize("system", QUAD_SYSTEMS)
 def test_roots_come_in_opposite_pairs(system):
     rs = set(roots(system))
