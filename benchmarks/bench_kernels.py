@@ -127,21 +127,27 @@ def bench_from_basis_coefficients_h4():
             lambda: [qlm.from_basis_coefficients(c) for c in rows])
 
 
-def bench_patch_h4(workdir):
+def bench_patches(workdir):
     """generate_patch, write_patch_csv and read_patch_csv on the H4 ball
-    patch of radius 5 (9481 points)."""
+    patch of radius 5 (9481 points), the CSV of the H3-primitive cell patch
+    of radius 12 (1429 points), and generate_patch on the H3-primitive cell
+    patch of radius 16 (3471 points)."""
     from qlat.cutproject import (
         Window, embedding, generate_patch, read_patch_csv, write_patch_csv)
 
-    emb, window = embedding("H4"), Window("ball")
-    patch = generate_patch(emb, window, 5.0)
-    path = os.path.join(workdir, "patch.csv")
-    write_patch_csv(patch, path)
-    return [
-        ("generate_patch(H4 ball, radius 5)", lambda: generate_patch(emb, window, 5.0)),
-        ("write_patch_csv(H4 ball, radius 5)", lambda: write_patch_csv(patch, path)),
-        ("read_patch_csv(H4 ball, radius 5)", lambda: read_patch_csv(path)),
-    ]
+    h4, h3 = embedding("H4"), embedding("H3-primitive")
+    ball, cell = Window("ball"), Window("cell")
+    benches = [("generate_patch(H4 ball, radius 5)", lambda: generate_patch(h4, ball, 5.0)),
+               ("generate_patch(H3 cell, radius 16)", lambda: generate_patch(h3, cell, 16.0))]
+    for label, patch in (("H4 ball, radius 5", generate_patch(h4, ball, 5.0)),
+                         ("H3 cell, radius 12", generate_patch(h3, cell, 12.0))):
+        path = os.path.join(workdir, f"{patch.target}.csv")
+        write_patch_csv(patch, path)
+        benches += [
+            (f"write_patch_csv({label})", partial(write_patch_csv, patch, path)),
+            (f"read_patch_csv({label})", partial(read_patch_csv, path)),
+        ]
+    return benches
 
 
 def main():
@@ -155,7 +161,7 @@ def main():
         bench_from_basis_coefficients_h4)]
     benches += bench_vector_arithmetic()
     with tempfile.TemporaryDirectory() as workdir:
-        for label, fn in benches + bench_patch_h4(workdir):
+        for label, fn in benches + bench_patches(workdir):
             print(f"{label:40s} {timeit(fn) * 1e3:8.2f} ms")
 
 

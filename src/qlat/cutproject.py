@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain, product
 
 import numpy as np
 
@@ -166,9 +167,13 @@ def _zonotope_facets(gens: np.ndarray, scale: float):
 
 
 def _window_circumradius(emb: Embedding, window: Window) -> float:
+    """The largest distance from the origin to a point of the window; for
+    a cell, to a zonotope vertex 0.5*(+-g_1 +- ... +- g_n)."""
     if window.shape == "ball":
         return window.scale
-    return 0.5 * window.scale * np.linalg.norm(emb.cell_generators, axis=0).sum()
+    gens = emb.cell_generators
+    signs = np.array(list(product((-0.5, 0.5), repeat=gens.shape[1])))
+    return window.scale * np.linalg.norm(signs @ gens.T, axis=1).max()
 
 
 def generate_patch(emb: Embedding, window: Window, radius: float) -> Patch:
@@ -212,64 +217,110 @@ def structure_factor(patch: Patch, k) -> float:
 
 
 # -- CSV serialization --------------------------------------------------
+#
+# A patch file holds a metadata row, the column names, then one row per
+# point: its floats x_j, exact coordinates exact_j and coefficients c_i.
+# x_j and exact_j depend only on the numerator pair (p_j, q_j), and a patch
+# has few distinct pairs and coefficients, so each distinct value is
+# formatted once.  No field holds a comma, a quote or a line break, so the
+# fields joined by commas, one CRLF-ended line a row, are what csv.writer
+# writes.
 
-def _patch_lines(patch: Patch):
-    """The lines write_patch_csv writes, as lists of strings: the metadata,
-    the column names, then each point's floats, exact coordinates and
-    coefficients, all derived from the coefficients."""
-    qlm = ql(patch.target)
-    d, kappa, den = qlm.dim, qlm.kappa, qlm._basis_den
-    yield ["# target", patch.target, "window", patch.window.shape,
-           "scale", str(patch.window.scale), "radius", str(patch.radius)]
-    yield ([f"x{i}" for i in range(d)] + [f"exact{i}" for i in range(d)]
-           + [f"c{i}" for i in range(qlm.rank)])
-    numerators, points = _coordinates(qlm, patch.coeffs)
-    for x, y, c in zip(points.tolist(), numerators.tolist(), patch.coeffs.tolist()):
-        yield ([f"{v:.15g}" for v in x]
-               + [format_numerators(p, q, kappa, den) for p, q in zip(y[:d], y[d:])]
-               + [str(v) for v in c])
+def _rows(patch: Patch, qlm: QLModule, numerators: np.ndarray,
+          points: np.ndarray) -> list[list[str]]:
+    """The rows of the patch's file: the metadata, the column names, then
+    each point's fields, from the numerators and points _coordinates gives
+    for patch.coeffs."""
+    d, coeffs = qlm.dim, patch.coeffs
+    fields = np.empty((len(coeffs), 2 * d + qlm.rank), dtype=object)
+    for j in range(d):
+        first, inverse = _distinct_pairs(numerators[:, j], numerators[:, d + j])
+        fields[:, j] = _table([f"{x:.15g}" for x in points[first, j].tolist()])[inverse]
+        p, q = numerators[first][:, [j, d + j]].T.tolist()
+        fields[:, d + j] = _table([format_numerators(a, b, qlm.kappa, qlm._basis_den)
+                                   for a, b in zip(p, q)])[inverse]
+    values, inverse = np.unique(coeffs, return_inverse=True)
+    fields[:, 2 * d:] = _table(list(map(str, values.tolist())))[inverse.reshape(coeffs.shape)]
+    return [["# target", patch.target, "window", patch.window.shape,
+             "scale", str(patch.window.scale), "radius", str(patch.radius)],
+            [f"x{i}" for i in range(d)] + [f"exact{i}" for i in range(d)]
+            + [f"c{i}" for i in range(qlm.rank)]] + fields.tolist()
+
+
+def _distinct_pairs(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A row holding each distinct pair (p[i], q[i]), and each row's pair
+    number.  Pairs are keyed by the ranks of p and q, so the key stays
+    below len(p)**2 whatever the values."""
+    _, p_rank = np.unique(p, return_inverse=True)
+    q_values, q_rank = np.unique(q, return_inverse=True)
+    _, first, inverse = np.unique(p_rank * len(q_values) + q_rank,
+                                  return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _table(strings: list[str]) -> np.ndarray:
+    return np.array(strings, dtype=object)
 
 
 def write_patch_csv(patch: Patch, path: str) -> None:
+    qlm = ql(patch.target)
+    rows = _rows(patch, qlm, *_coordinates(qlm, patch.coeffs))
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(_patch_lines(patch))
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def read_patch_csv(path: str) -> Patch:
     """The patch written by write_patch_csv, its points derived from the
     coefficient columns.  DomainError names the path and line of a file
     that is empty or malformed, or has a line other than the one the
-    writer gives for those coefficients."""
+    writer gives for those coefficients.  Lines count CSV records, so they
+    are the file's lines unless a quoted field spans several."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        rows = list(csv.reader(fh))
+    line = 1  # where the next refusal points
+    try:
+        if len(rows) < 2:
+            line = len(rows)
+            raise ValueError("the file ends early")
+        _, target, _, shape, _, scale, _, radius = rows[0]
+        qlm = ql(target)
+        window = Window(shape, float(scale))
+        d2, width, data = 2 * qlm.dim, 2 * qlm.dim + qlm.rank, rows[2:]
+        if set(map(len, data)) - {width}:
+            i = next(i for i, row in enumerate(data) if len(row) != width)
+            line = 3 + i
+            raise ValueError(f"expected {width} fields, found {len(data[i])}")
+        # a patch has few distinct coefficients: parse each once
+        cells = [row[d2:] for row in data]
+        values = {text: _int64(text) for text in set(chain.from_iterable(cells))}
+        bad = {text for text, value in values.items() if value is None}
+        if bad:
+            i = next(i for i, row in enumerate(cells) if not bad.isdisjoint(row))
+            line = 3 + i
+            text = next(text for text in cells[i] if text in bad)
+            raise ValueError(f"coefficient {text!r} is not a 64-bit integer")
+        coeffs = np.fromiter(map(values.__getitem__, chain.from_iterable(cells)),
+                             np.int64, len(cells) * qlm.rank).reshape(-1, qlm.rank)
         try:
-            patch = _read_patch_coeffs(reader)
-            fh.seek(0)
-            reader = csv.reader(fh)
-            for got, want in zip(reader, _patch_lines(patch)):
-                if got != want:
-                    raise ValueError("the line is not the one written for "
-                                     "these coefficients")
-        except (StopIteration, ValueError) as exc:
-            detail = str(exc) or "the file ends early"
-            raise DomainError(f"{path}, line {reader.line_num}: "
-                              f"not a patch file: {detail}") from None
+            numerators, points = _coordinates(qlm, coeffs)
+        except DomainError:
+            line = 3 + int(np.abs(coeffs).max(axis=1).argmax())
+            raise
+        patch = Patch(qlm.name, window, float(radius), coeffs, points)
+        want = _rows(patch, qlm, numerators, points)
+        if rows != want:
+            line = 1 + next(i for i, (got, row) in enumerate(zip(rows, want))
+                            if got != row)
+            raise ValueError("the line is not the one written for these coefficients")
+    except ValueError as exc:
+        raise DomainError(f"{path}, line {line}: not a patch file: {exc}") from None
     return patch
 
 
-def _read_patch_coeffs(reader) -> Patch:
-    """The patch a file's metadata and coefficient columns give."""
-    _, target, _, shape, _, scale, _, radius = next(reader)
-    qlm = ql(target)
-    next(reader)
-    width = 2 * qlm.dim + qlm.rank
-    coeffs = []
-    for row in reader:
-        if len(row) != width:
-            raise ValueError(f"expected {width} fields, found {len(row)}")
-        coeffs.append([int(x) for x in row[2 * qlm.dim:]])
-        if max(map(abs, coeffs[-1])) > kernels.INT64_MAX:
-            raise ValueError("a coefficient does not fit in 64 bits")
-    coeffs = np.array(coeffs, dtype=np.int64).reshape(-1, qlm.rank)
-    return Patch(qlm.name, Window(shape, float(scale)), float(radius), coeffs,
-                 _coordinates(qlm, coeffs)[1])
+def _int64(text: str) -> int | None:
+    """The integer text spells, or None if it spells none that fits in int64."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if abs(value) <= kernels.INT64_MAX else None

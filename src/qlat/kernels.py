@@ -66,8 +66,8 @@ MAX_CANDIDATES = 3_000_000
 MAX_PATCH_POINTS = 100_000
 """Patches with more accepted points than this are refused, to bound the
 output and its memory: a patch file takes about 110 bytes per H4 point,
-and reading it back holds the coefficients as Python ints, about 0.7 kB
-a point."""
+and reading it back holds the parsed rows and the rows the writer gives
+for them at once, about 1.6 kB an H4 point."""
 
 
 def _widest_level(diag: np.ndarray, bound: float) -> float:

@@ -39,6 +39,8 @@ class GoldenQuaternion(ExactVector):
         return self.coords
 
     def __mul__(self, other):
+        if not isinstance(other, GoldenQuaternion):
+            return NotImplemented
         return qmul(self, other)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import index
 
 
 class DomainError(ValueError):
@@ -30,6 +31,9 @@ def _squarefree(n: int) -> bool:
 class QuadraticRingElement:
     """Exact number (p + q*sqrt(kappa)) / den with integer p, q, den.
 
+    The arguments must be integers (Python or numpy); anything else is a
+    TypeError, not truncated.  Rationals go through ``rational``.
+
     Canonical form: den > 0 and gcd(p, q, den) = 1.  Elements of the ring
     of integers always canonicalize to den in {1, 2}; general den is kept
     so that exact division stays closed (needed for reflection formulas).
@@ -38,7 +42,7 @@ class QuadraticRingElement:
     __slots__ = ("p", "q", "kappa", "den")
 
     def __init__(self, p: int, q: int = 0, kappa: int = 5, den: int = 1):
-        p, q, kappa, den = int(p), int(q), int(kappa), int(den)
+        p, q, kappa, den = index(p), index(q), index(kappa), index(den)
         if den == 0:
             raise DomainError("den must be nonzero")
         if den < 0:

@@ -1,13 +1,18 @@
 """Cut-and-project: the E8 source lattice, patch generation, diffraction."""
 
+import csv
+import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
 
+from qlat import cutproject, kernels
 from qlat.cutproject import (
     Window,
+    _coordinates,
+    _window_circumradius,
     _zonotope_facets,
     e8_bilinear,
     e8_gram,
@@ -21,6 +26,7 @@ from qlat.cutproject import (
 from qlat.modules import QLModule, membership, ql
 from qlat.quaternions import GoldenQuaternion, unit_icosians
 from qlat.ring import DomainError, QuadraticRingElement, tau
+from qlat.textio import format_numerators
 from qlat.vectors import ExactVector
 
 TAU = (1 + 5 ** 0.5) / 2
@@ -207,6 +213,54 @@ def test_patch_with_too_many_points_refused_before_materialising(monkeypatch):
         generate_patch(embedding("H4"), Window("ball"), 10.0)
 
 
+def _loose_circumradius(emb, window):
+    """The bound 0.5 * sum |g_i| on a cell window, looser than its true
+    circumradius."""
+    return 0.5 * window.scale * np.linalg.norm(emb.cell_generators, axis=0).sum()
+
+
+def test_cell_circumradius_is_the_farthest_zonotope_vertex():
+    emb = embedding("H3-primitive")
+    assert _window_circumradius(emb, Window("cell")) == pytest.approx(1.902, abs=1e-3)
+    assert _loose_circumradius(emb, Window("cell")) == pytest.approx(3.527, abs=1e-3)
+    # no point of the window lies farther out than the bound
+    rng = np.random.default_rng(0)
+    gens = emb.cell_generators
+    inside = rng.uniform(-0.5, 0.5, size=(2000, gens.shape[1])) @ gens.T
+    assert np.linalg.norm(inside, axis=1).max() < _window_circumradius(emb, Window("cell"))
+    assert _window_circumradius(emb, Window("cell", 0.7)) == pytest.approx(0.7 * 1.902,
+                                                                         abs=1e-3)
+    assert _window_circumradius(emb, Window("ball", 0.7)) == 0.7
+
+
+@pytest.mark.parametrize("target,scale,radius,candidates", [
+    ("H3-primitive", 1.0, 16.0, (83_005, 13_131)),
+    ("H3-fcc", 1.0, 16.0, None),
+    ("H3-bcc", 1.0, 16.0, None),
+    ("H3-primitive", 0.7, 10.0, None),
+    ("H3-bcc", TAU, 8.0, None),
+])
+def test_true_circumradius_keeps_the_points_with_fewer_candidates(
+        monkeypatch, target, scale, radius, candidates):
+    emb, window = embedding(target), Window("cell", scale)
+    enumerate_points, sizes = kernels.ellipsoid_points, []
+
+    def counted(*args):
+        found = enumerate_points(*args)
+        sizes.append(len(found))
+        return found
+
+    monkeypatch.setattr(kernels, "ellipsoid_points", counted)
+    tight = generate_patch(emb, window, radius)
+    monkeypatch.setattr(cutproject, "_window_circumradius", _loose_circumradius)
+    loose = generate_patch(emb, window, radius)
+    assert tight.coeffs.tobytes() == loose.coeffs.tobytes()
+    assert tight.size > 100
+    assert sizes[0] < sizes[1] / 3
+    if candidates:
+        assert (sizes[1], sizes[0]) == candidates
+
+
 def test_tiny_window_scale_leaves_only_the_origin():
     # window rows ~1e300 beside radius rows ~0.2: the factor stays exact,
     # and a ball's squared scale (1e-600) would underflow to 0
@@ -285,6 +339,114 @@ def test_patch_path_builds_no_exact_objects(tmp_path, monkeypatch, target, shape
     back = read_patch_csv(str(path))
     assert back.size == patch.size > 20
     assert abs(structure_factor(back, np.zeros(emb.parallel.shape[0])) - 1) < 1e-12
+
+
+def _per_row_csv(patch, path):
+    """The patch file written one row and one field at a time."""
+    qlm = ql(patch.target)
+    d, kappa, den = qlm.dim, qlm.kappa, qlm._basis_den
+    numerators, points = _coordinates(qlm, patch.coeffs)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["# target", patch.target, "window", patch.window.shape,
+                         "scale", str(patch.window.scale), "radius", str(patch.radius)])
+        writer.writerow([f"x{i}" for i in range(d)] + [f"exact{i}" for i in range(d)]
+                        + [f"c{i}" for i in range(qlm.rank)])
+        for x, y, c in zip(points.tolist(), numerators.tolist(), patch.coeffs.tolist()):
+            writer.writerow(
+                [f"{v:.15g}" for v in x]
+                + [format_numerators(p, q, kappa, den) for p, q in zip(y[:d], y[d:])]
+                + [str(v) for v in c])
+
+
+@pytest.mark.parametrize("target,shape,scale,radius", [
+    (target, shape, scale, 6.0)
+    for target in ("H3-primitive", "H3-fcc", "H3-bcc")
+    for shape in ("cell", "ball")
+    for scale in (0.7, 1.0, TAU)
+] + [("H4", "ball", 1.0, 3.0), ("H4", "ball", 0.7, 3.0)])
+def test_patch_csv_matches_the_per_row_writer(tmp_path, target, shape, scale, radius):
+    patch = generate_patch(embedding(target), Window(shape, scale), radius)
+    assert patch.size > 0
+    write_patch_csv(patch, str(tmp_path / "fast.csv"))
+    _per_row_csv(patch, str(tmp_path / "slow.csv"))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+    back = read_patch_csv(str(tmp_path / "fast.csv"))
+    assert back.coeffs.tobytes() == patch.coeffs.tobytes()
+    assert back.points.tobytes() == patch.points.tobytes()
+
+
+@pytest.mark.parametrize("target,shape,scale,radius,digest", [
+    ("H3-primitive", "cell", 1.0, 12.0, "92dca1f3ece9c4ce"),
+    ("H3-bcc", "cell", 1.0, 8.0, "bc7930bd9d232094"),
+    ("H3-fcc", "ball", 1.0, 8.0, "a20ecd60ba4d1602"),
+    ("H4", "ball", 1.0, 2.0, "dd19964090799943"),
+    ("H3-primitive", "cell", 0.7, 6.0, "5bf38087f4af4f70"),
+])
+def test_patch_csv_bytes_are_pinned(tmp_path, target, shape, scale, radius, digest):
+    path = tmp_path / "patch.csv"
+    write_patch_csv(generate_patch(embedding(target), Window(shape, scale), radius),
+                    str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+
+def _bcc_patch_file(tmp_path):
+    path = tmp_path / "patch.csv"
+    patch = generate_patch(embedding("H3-bcc"), Window("cell"), 3.0)
+    write_patch_csv(patch, str(path))
+    return patch, path, path.read_bytes().decode().split("\r\n")[:-1]
+
+
+def test_patch_csv_reads_lf_endings_and_quoted_fields(tmp_path):
+    patch, path, lines = _bcc_patch_file(tmp_path)
+    path.write_text("\n".join(lines) + "\n", newline="")
+    assert read_patch_csv(str(path)).coeffs.tobytes() == patch.coeffs.tobytes()
+    head, last = lines[4].rsplit(",", 1)
+    lines[4] = f'{head},"{last}"'
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    back = read_patch_csv(str(path))
+    assert back.coeffs.tobytes() == patch.coeffs.tobytes()
+    assert back.points.tobytes() == patch.points.tobytes()
+
+
+def test_header_only_patch_file_reads_as_an_empty_patch(tmp_path):
+    _, path, lines = _bcc_patch_file(tmp_path)
+    path.write_text("\r\n".join(lines[:2]) + "\r\n", newline="")
+    back = read_patch_csv(str(path))
+    assert back.size == 0 and back.coeffs.shape == (0, 6) and back.points.shape == (0, 3)
+    write_patch_csv(back, str(tmp_path / "again.csv"))
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("cut,line,detail", [
+    ("fraction", 5, "coefficient '1.5' is not a 64-bit integer"),
+    ("short", 4, "expected 12 fields, found 5"),
+    ("extra", None, "expected 12 fields, found 3"),
+    ("blank", None, "expected 12 fields, found 0"),
+    ("extra-point", None, "not the one written"),
+    ("numerators", 6, "too large for 64-bit numerators"),
+])
+def test_malformed_patch_csv_names_the_line(tmp_path, cut, line, detail):
+    _, path, lines = _bcc_patch_file(tmp_path)
+    end = len(lines) + 1
+    if cut == "fraction":
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",1.5"
+    elif cut == "short":
+        lines[3] = ",".join(lines[3].split(",")[:5])
+    elif cut == "extra":
+        lines.append("0,0,0")
+    elif cut == "blank":
+        lines.append("")
+    elif cut == "extra-point":
+        # a valid row's coefficients with its first float changed
+        lines.append("9" + lines[2])
+    else:
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + str(10**18)
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    with pytest.raises(DomainError) as err:
+        read_patch_csv(str(path))
+    assert str(err.value).startswith(f"{path}, line {line or end}: not a patch file")
+    assert detail in str(err.value)
 
 
 @pytest.mark.parametrize("cut", ["header", "field", "exact", "huge", "disagree"])

@@ -1,6 +1,7 @@
 """The unit icosians and the icosian ring."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -237,6 +238,16 @@ def test_left_right_matrices_match_object_products(data, kappa):
             GoldenQuaternion(*(row[j] for row in left_matrix(a))), object_qmul(a, e))
         _assert_same_components(
             GoldenQuaternion(*(row[j] for row in right_matrix(a))), object_qmul(e, a))
+
+
+def test_quaternion_times_a_number_is_a_type_error_and_number_times_quaternion_scales():
+    q = unit_icosians()[7]
+    for other in (2, Fraction(1, 2), tau()):
+        with pytest.raises(TypeError):
+            q * other
+    assert 2 * q == q + q
+    assert isinstance(2 * q, GoldenQuaternion)
+    assert q * q == qmul(q, q)
 
 
 def test_qmul_refuses_mixed_radicands():

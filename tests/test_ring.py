@@ -43,6 +43,23 @@ def test_canonical_form():
         QuadraticRingElement(1, 1, 5, 0)
 
 
+@pytest.mark.parametrize("args", [
+    (Fraction(1, 2),), (1.5,), (2.0,), (1, Fraction(1, 2)), (1, 0, 5.0), (1, 0, 5, 2.0),
+])
+def test_non_integer_arguments_are_refused_not_truncated(args):
+    with pytest.raises(TypeError):
+        QuadraticRingElement(*args)
+
+
+def test_numpy_integers_and_rationals_through_rational_are_accepted():
+    import numpy as np
+
+    a = QuadraticRingElement(np.int64(2), np.int32(4), np.int64(5), np.int64(6))
+    assert (a.p, a.q, a.kappa, a.den) == (1, 2, 5, 3)
+    assert all(type(x) is int for x in (a.p, a.q, a.kappa, a.den))
+    assert QuadraticRingElement.rational(Fraction(1, 2)) == QuadraticRingElement(1, 0, 5, 2)
+
+
 def test_tau_satisfies_golden_identity():
     t = tau()
     assert t * t == t + 1
