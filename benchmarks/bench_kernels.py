@@ -1,6 +1,6 @@
 """Time the three numpy kernels, the integer-backed group and quaternion
 paths, exact vector arithmetic, the scalar module coordinates and the
-patch path (generate, write, read).
+patch path (generate, exact points, write, read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
@@ -127,6 +127,18 @@ def bench_from_basis_coefficients_h4():
             lambda: [qlm.from_basis_coefficients(c) for c in rows])
 
 
+def bench_patch_exact():
+    """Patch.exact on the H3-primitive cell patch of radius 12 (1429
+    points) and the H4 ball patch of radius 5 (9481 points), built afresh
+    on each call (the property caches it on the patch)."""
+    from qlat.cutproject import Patch, Window, embedding, generate_patch
+
+    h3 = generate_patch(embedding("H3-primitive"), Window("cell"), 12.0)
+    h4 = generate_patch(embedding("H4"), Window("ball"), 5.0)
+    return [("Patch.exact(H3 cell, radius 12)", partial(Patch.exact.func, h3)),
+            ("Patch.exact(H4 ball, radius 5)", partial(Patch.exact.func, h4))]
+
+
 def bench_patches(workdir):
     """generate_patch, write_patch_csv and read_patch_csv on the H4 ball
     patch of radius 5 (9481 points), the CSV of the H3-primitive cell patch
@@ -160,6 +172,7 @@ def main():
         partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
         bench_from_basis_coefficients_h4)]
     benches += bench_vector_arithmetic()
+    benches += bench_patch_exact()
     with tempfile.TemporaryDirectory() as workdir:
         for label, fn in benches + bench_patches(workdir):
             print(f"{label:40s} {timeit(fn) * 1e3:8.2f} ms")

@@ -131,9 +131,12 @@ class Patch:
 
     @cached_property
     def exact(self) -> list[ExactVector]:
-        """The exact points, built on first use."""
+        """The exact points, built on first use from the numerators that
+        _coordinates gives for the coefficients."""
         qlm = ql(self.target)
-        return [qlm.from_basis_coefficients(row) for row in self.coeffs.tolist()]
+        numerators = _coordinates(qlm, self.coeffs)[0]
+        return [ExactVector.from_numerators(row, qlm._basis_den, qlm.kappa)
+                for row in numerators.tolist()]
 
 
 def _coordinates(qlm: QLModule, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,9 +275,10 @@ def write_patch_csv(patch: Patch, path: str) -> None:
 def read_patch_csv(path: str) -> Patch:
     """The patch written by write_patch_csv, its points derived from the
     coefficient columns.  DomainError names the path and line of a file
-    that is empty or malformed, or has a line other than the one the
-    writer gives for those coefficients.  Lines count CSV records, so they
-    are the file's lines unless a quoted field spans several."""
+    that is empty or malformed, has a line other than the one the writer
+    gives for those coefficients, or repeats or reorders the writer's
+    points.  Lines count CSV records, so they are the file's lines unless
+    a quoted field spans several."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     line = 1  # where the next refusal points
@@ -312,9 +316,28 @@ def read_patch_csv(path: str) -> Patch:
             line = 1 + next(i for i, (got, row) in enumerate(zip(rows, want))
                             if got != row)
             raise ValueError("the line is not the one written for these coefficients")
+        repeats, disorder = _out_of_order(coeffs, points)
+        if (repeats | disorder).any():
+            i = int((repeats | disorder).argmax())
+            line = 4 + i
+            raise ValueError("the point repeats the one before it" if repeats[i]
+                             else "the point is out of the writer's order")
     except ValueError as exc:
         raise DomainError(f"{path}, line {line}: not a patch file: {exc}") from None
     return patch
+
+
+def _out_of_order(coeffs: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each point after the first: whether its coefficient row repeats
+    the one before it, and whether it precedes that point in the writer's
+    lexicographic order of the float coordinates.  Distinct points of a
+    patch have distinct floats, so comparing neighbours finds every repeat
+    in a file that is in order."""
+    diff = points[1:] - points[:-1]
+    first = (diff != 0).argmax(axis=1)
+    disorder = diff[np.arange(len(diff)), first] < 0
+    repeats = (coeffs[1:] == coeffs[:-1]).all(axis=1)
+    return repeats, disorder
 
 
 def _int64(text: str) -> int | None:

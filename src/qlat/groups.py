@@ -3,10 +3,11 @@
 A matrix is stored as integers: the numerator pairs (x, y) of its entries
 (x + y*sqrt(kappa))/den over one common denominator, plus kappa; every
 group element has den = 4.  Products, images of vectors, equality and
-hashing work on these integers, through the batched products of
-qlat.kernels.  Every group is generated by breadth-first closure of the
-simple-root reflections and keeps the closure's rows as one
-(order, d, d, 2) int64 array; orbits are one product over that array.
+hashing work on these integers: products and orbits through the batched
+products of qlat.kernels, the image of one vector in Python ints.  Every
+group is generated by breadth-first closure of the simple-root
+reflections and keeps the closure's rows as one (order, d, d, 2) int64
+array; orbits are one product over that array.
 
 The H4 group is also realized through unit-icosian pairs q1, q2 acting
 as Q -> conj(q1) Q q2 (optionally with quaternion conjugation of Q).
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -124,8 +126,23 @@ class GroupElement:
         return GroupElement._wrap(*_canonical(product, self.den * other.den), kappa)
 
     def apply(self, v: ExactVector) -> ExactVector:
-        images, den, kappa = _images(self.numerators, self.den, self.kappa, v)
-        return ExactVector.from_numerators(images.T.ravel().tolist(), den, kappa)
+        """The image of v, in Python ints.
+
+        Row i of the element, read as (x_i1, y_i1, ..., x_id, y_id), meets
+        the vector's form twice: with (p_1, kappa*q_1, ..., p_d, kappa*q_d)
+        it gives the rational numerator of image coordinate i, and with
+        (q_1, p_1, ..., q_d, p_d) its sqrt(kappa) numerator.
+        """
+        d = self.dim
+        x, den, kappa = _operand(self.numerators, self.kappa, v)
+        u, w = [], []
+        for p, q in zip(x[:d], x[d:]):
+            u += (p, kappa * q)
+            w += (q, p)
+        rows = self.numerators.reshape(d, 2 * d).tolist()
+        return ExactVector.from_numerators(
+            [sum(map(mul, r, u)) for r in rows] + [sum(map(mul, r, w)) for r in rows],
+            self.den * den, kappa)
 
     def transpose(self) -> "GroupElement":
         return GroupElement._wrap(
@@ -157,17 +174,16 @@ def _det(rows) -> QuadraticRingElement:
     return total
 
 
-def _images(numerators: np.ndarray, den: int, kappa: int, v: ExactVector):
-    """Numerator pairs of numerators/den applied to v, shape (..., d, 2),
-    with their denominator and radicand."""
+def _operand(numerators: np.ndarray, kappa: int, v: ExactVector):
+    """(form, den, radicand) of v as the operand of the matrices numerators
+    over sqrt(kappa), shape (..., d, d, 2); DomainError when v has another
+    dimension or another radicand."""
     d = numerators.shape[-2]
     if v.dim != d:
         raise DomainError(
             f"cannot apply a {d}x{d} matrix to a {v.dim}-component vector")
-    x, vden = v.numerators()
-    kappa = _radicand(numerators, kappa, v.kappa, lambda: any(x[d:]))
-    images = kernels.quad_product(numerators, _int_array(x, (2, d)).T, kappa)
-    return images, den * vden, kappa
+    x, den = v.numerators()
+    return x, den, _radicand(numerators, kappa, v.kappa, lambda: any(x[d:]))
 
 
 def identity_element(d: int) -> GroupElement:
@@ -292,11 +308,12 @@ def generate(system: RootSystemId) -> ReflectionGroup:
 def orbit(group: ReflectionGroup, v: ExactVector) -> frozenset:
     """The distinct images of v: one batched integer product over the
     whole group, then exact vectors for the distinct rows only."""
-    images, den, kappa = _images(group.numerators, 4, group.kappa, v)
+    x, den, kappa = _operand(group.numerators, group.kappa, v)
+    images = kernels.quad_product(group.numerators, _int_array(x, (2, v.dim)).T, kappa)
     # each image's integer form (p_1..p_d, q_1..q_d), one row per element
     forms = images.transpose(0, 2, 1).reshape(len(images), -1)
     rows = {tuple(r) for r in forms.tolist()}
-    return frozenset(ExactVector.from_numerators(r, den, kappa) for r in rows)
+    return frozenset(ExactVector.from_numerators(r, 4 * den, kappa) for r in rows)
 
 
 # -- the quaternion-pair realization of the H4 group --------------------

@@ -132,6 +132,30 @@ def test_patch_points_are_exact_members():
             assert membership(qlm, v).member
 
 
+@pytest.mark.parametrize("target,shape,radius", [
+    (target, shape, 8.0) for target in ("H3-primitive", "H3-fcc", "H3-bcc")
+    for shape in ("cell", "ball")
+] + [("H4", "ball", 2.5)])
+def test_patch_exact_matches_from_basis_coefficients(tmp_path, monkeypatch, target,
+                                                     shape, radius):
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_basis_coefficients called")
+
+    patch = generate_patch(embedding(target), Window(shape), radius)
+    path = tmp_path / "patch.csv"
+    write_patch_csv(patch, str(path))
+    back = read_patch_csv(str(path))
+    with monkeypatch.context() as m:
+        m.setattr(QLModule, "from_basis_coefficients", refuse)
+        built = [patch.exact, back.exact]
+    qlm = ql(target)
+    want = [qlm.from_basis_coefficients(row) for row in patch.coeffs.tolist()]
+    assert len(want) > 20
+    for exact in built:
+        assert [(v.form, v.den, v.kappa) for v in exact] == \
+            [(v.form, v.den, v.kappa) for v in want]
+
+
 def test_h4_ball_window_patch():
     emb = embedding("H4")
     patch = generate_patch(emb, Window("ball", 1.0), 2.0)
@@ -447,6 +471,26 @@ def test_malformed_patch_csv_names_the_line(tmp_path, cut, line, detail):
         read_patch_csv(str(path))
     assert str(err.value).startswith(f"{path}, line {line or end}: not a patch file")
     assert detail in str(err.value)
+
+
+@pytest.mark.parametrize("cut,line,detail", [
+    ("repeat-last", None, "repeats the one before it"),
+    ("repeat-first", None, "is out of the writer's order"),
+    ("reversed", 4, "is out of the writer's order"),
+])
+def test_repeated_or_reordered_points_are_refused(tmp_path, cut, line, detail):
+    _, path, lines = _bcc_patch_file(tmp_path)
+    end = len(lines) + 1
+    if cut == "repeat-last":
+        lines.append(lines[-1])
+    elif cut == "repeat-first":
+        lines.append(lines[2])
+    else:
+        lines[2:] = lines[:1:-1]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    with pytest.raises(DomainError) as err:
+        read_patch_csv(str(path))
+    assert str(err.value) == f"{path}, line {line or end}: not a patch file: the point {detail}"
 
 
 @pytest.mark.parametrize("cut", ["header", "field", "exact", "huge", "disagree"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_oracle import object_apply, object_matmul
-from qlat import groups
+from qlat import groups, kernels
 from qlat.groups import (
     GroupElement,
     enumerate_h4_quaternion_maps,
@@ -190,6 +190,37 @@ def test_h4_orbit_matches_object_arithmetic(kind):
     v = _test_vector(H4, kind, random.Random(6))
     expected = frozenset(object_apply(g.entries, v) for g in group)
     assert orbit(group, v) == expected and len(expected) > 1
+
+
+def _batched_images(numerators, v):
+    """The image of v under each matrix of numerators (n, d, d, 2) over 4,
+    from one batched kernels.quad_product, as orbit computes them."""
+    x, den = v.numerators()
+    images = kernels.quad_product(
+        numerators, groups._int_array(x, (2, v.dim)).T, v.kappa)
+    return [ExactVector.from_numerators(m.T.ravel().tolist(), 4 * den, v.kappa)
+            for m in images]
+
+
+def _form(v):
+    return v.form, v.den, v.kappa
+
+
+@pytest.mark.parametrize("kind", ["member", "rational", "huge"])
+@pytest.mark.parametrize("system,sample", [(H3, None), (H4, 300)], ids=str)
+def test_apply_matches_the_batched_product(system, sample, kind):
+    group = generate(system)
+    rng = random.Random(11)
+    picks = (range(group.order) if sample is None
+             else sorted(rng.sample(range(group.order), sample)))
+    v = _test_vector(system, kind, rng)
+    # coordinates near 10^30 take the batched product's object-dtype path
+    assert (max(map(abs, v.form)) > kernels.INT64_MAX) == (kind == "huge")
+    batched = _batched_images(group.numerators[list(picks)], v)
+    images = [group.elements[i].apply(v) for i in picks]
+    assert list(map(_form, images)) == list(map(_form, batched))
+    if sample is None:
+        assert frozenset(images) == orbit(group, v)
 
 
 def _entry(p, q, kappa, den):
