@@ -1,6 +1,7 @@
 """Time the three numpy kernels, the integer-backed group and quaternion
-paths, exact vector arithmetic, the scalar module coordinates and the
-patch path (generate, exact points, write, read).
+paths, exact vector arithmetic, the cold build of the seven modules, the
+scalar module coordinates and the patch path (generate, exact points,
+write, read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
@@ -118,6 +119,18 @@ def bench_membership(name):
     return f"membership({name}), 1000 members", lambda: [membership(qlm, v) for v in vs]
 
 
+def bench_module_build():
+    """The seven QLModules built afresh: frames, member bases and the
+    integer inverses of those bases."""
+    from qlat.modules import QL_NAMES, ql
+
+    def cold():
+        ql.cache_clear()
+        return [ql(name) for name in QL_NAMES]
+
+    return "ql(...) for the seven modules, cold", cold
+
+
 def bench_from_basis_coefficients_h4():
     from qlat.modules import ql
 
@@ -170,7 +183,7 @@ def main():
         bench_orbit_h4, bench_quaternion_maps, bench_apply_h4,
         bench_icosian_products,
         partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
-        bench_from_basis_coefficients_h4)]
+        bench_module_build, bench_from_basis_coefficients_h4)]
     benches += bench_vector_arithmetic()
     benches += bench_patch_exact()
     with tempfile.TemporaryDirectory() as workdir:

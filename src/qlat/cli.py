@@ -175,7 +175,7 @@ def cmd_project(args):
 
 
 def _read_k_list(path: str, dim: int) -> np.ndarray:
-    """The k vectors of a JSON file holding a list of rows or {"k": rows}."""
+    """The finite k vectors of a JSON file of rows or {"k": rows}."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -184,6 +184,8 @@ def _read_k_list(path: str, dim: int) -> np.ndarray:
             ks = None
     if ks is None or ks.ndim != 2 or ks.shape[1] != dim:
         raise DomainError(f"{path}: expected a JSON list of {dim}-component k vectors")
+    if not np.isfinite(ks).all():
+        raise DomainError(f"{path}: k vectors must be finite, not NaN or infinite")
     return ks
 
 

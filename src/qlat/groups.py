@@ -215,21 +215,6 @@ def reflection_matrix(r: ExactVector, g=None) -> GroupElement:
     )
 
 
-# -- compact integer encoding ------------------------------------------
-#
-# An entry (p + q*sqrt(kappa))/den with den dividing 4 is stored as its
-# numerator pair over the fixed denominator 4; every group entry has one.
-
-def matrix_to_compact(m: GroupElement) -> np.ndarray:
-    if m.den != 4:
-        raise DomainError("matrix has an entry whose denominator does not divide 4")
-    return np.array(m.numerators, dtype=np.int64)
-
-
-def compact_to_matrix(arr: np.ndarray, kappa: int) -> GroupElement:
-    return GroupElement._wrap(np.asarray(arr, dtype=np.int64), 4, kappa)
-
-
 class ReflectionGroup:
     """A finite matrix group: one (order, d, d, 2) int64 array of numerator
     pairs over the denominator 4.  Order, orbits and the byte set read the
@@ -273,8 +258,10 @@ class ReflectionGroup:
 
 def _bfs_compact(gens: list[GroupElement], kappa: int) -> np.ndarray:
     """Every product of the generators, in breadth-first order."""
-    gen_arrs = [matrix_to_compact(g) for g in gens]
-    ident = matrix_to_compact(identity_element(gens[0].dim))
+    if any(g.den != 4 for g in gens):
+        raise DomainError("matrix has an entry whose denominator does not divide 4")
+    gen_arrs = [g.numerators for g in gens]
+    ident = identity_element(gens[0].dim).numerators
     seen = {ident.tobytes()}
     frontier = ident[None]
     levels = [frontier]
@@ -346,19 +333,18 @@ def _quaternion_conjugation_matrix() -> GroupElement:
 def enumerate_h4_quaternion_maps():
     """All 120*120*2 parameterized maps, deduplicated exactly.
 
-    Returns (raw_parameterization_count, frozenset of compact matrix bytes).
+    Returns (raw_parameterization_count, frozenset of the numerator bytes
+    of the distinct matrices).
     """
     from .quaternions import unit_icosians
 
     units = unit_icosians()
-    right_arrs = np.stack(
-        [matrix_to_compact(_quaternion_map(u, right=True)) for u in units]
-    )
-    conj = matrix_to_compact(_quaternion_conjugation_matrix())
+    right_arrs = np.stack([_quaternion_map(u, right=True).numerators for u in units])
+    conj = _quaternion_conjugation_matrix().numerators
     seen = set()
     raw = 0
     for u in units:
-        left = matrix_to_compact(_quaternion_map(qconj(u)))
+        left = _quaternion_map(qconj(u)).numerators
         # left- and right-multiplication matrices commute, so the batch
         # runs over right factors with a fixed trailing left factor
         prods = kernels.quad_matmul_batch(right_arrs, left, 5)

@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
-from . import linalg
 from .ring import DomainError, QuadraticRingElement, fundamental_unit, golden, tau
-from .roots import H3, H4, I2, RootSystemId, gram, roots
+from .roots import H3, H4, I2, RootSystemId, roots
+from .textio import format_element
 from .vectors import ExactVector
 
 QL_NAMES = (
@@ -99,7 +99,6 @@ class QLModule:
         self.constraint = _CONSTRAINTS[name]
         self.dim = self.system.rank
         self.rank = 2 * self.dim
-        self.gram = gram(self.system)
         self.frame = _frame(name)
         self.kappa = self.frame[0].kappa
         frame_cols, frame_den = _columns(self.frame)
@@ -174,10 +173,35 @@ def _columns(vectors) -> tuple[list[list[int]], int]:
 
 
 def _integer_inverse(rows, den: int) -> tuple[list[list[int]], int]:
-    """(N, D) with N/D the inverse of the integer matrix rows/den."""
-    inv = [[x * den for x in row] for row in linalg.mat_inverse(rows)]
-    inv_den = lcm(*(x.denominator for row in inv for x in row))
-    return [[int(x * inv_den) for x in row] for row in inv], inv_den
+    """(N, D) in lowest terms with N/D the inverse of the integer matrix
+    rows/den; DomainError when it is singular.
+
+    Gauss-Jordan on the integer rows of [rows | I], kept integral in the
+    manner of Bareiss (Math. Comp. 22 (1968) 565): a row is cleared by
+    cross-multiplication with the pivot row, then divided by its gcd.  The
+    left block ends diagonal, so the lcm of the pivots is a denominator.
+    """
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise DomainError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pivot_row = aug[col]
+        p = pivot_row[col]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                row = [p * x - f * y for x, y in zip(aug[r], pivot_row)]
+                g = gcd(*row)
+                aug[r] = [x // g for x in row]
+    pivots = [aug[i][i] for i in range(n)]
+    inverse_den = lcm(*pivots)
+    inverse = [[x * den * (inverse_den // p) for x in aug[i][n:]]
+               for i, p in enumerate(pivots)]
+    g = gcd(inverse_den, *(x for row in inverse for x in row))
+    return [[x // g for x in row] for row in inverse], inverse_den // g
 
 
 def _solve(inverse, inverse_den: int, v: ExactVector) -> tuple[list[int], int]:
@@ -245,9 +269,57 @@ def _member_basis_coeffs(name: str, frame_cols, frame_den: int
         coeffs, den = _solve(inverse, inverse_den, root)
         assert all(c % den == 0 for c in coeffs)
         gen_rows.append([c // den for c in coeffs])
-    basis = linalg.hnf_rows(gen_rows)
+    basis = hnf_rows(gen_rows)
     assert len(basis) == r
     return basis, 1
+
+
+def hnf_rows(gen_rows) -> list[list[int]]:
+    """Row echelon basis of the lattice spanned by the integer rows gen_rows,
+    with positive pivots (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4).  Entries above the pivots are reduced from the last pivot
+    up, which can undo reductions further right: this is not the canonical
+    Hermite normal form, but the H4 member basis is this form.
+    """
+    pool = [list(map(int, r)) for r in gen_rows if any(r)]
+    if not pool:
+        return []
+    ncols = len(pool[0])
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for col in range(ncols):
+        sel = [r for r in pool if r[col] != 0]
+        rest = [r for r in pool if r[col] == 0]
+        if not sel:
+            pool = rest
+            continue
+        # gcd-reduce the selected rows down to a single pivot row
+        while len(sel) > 1:
+            sel.sort(key=lambda r: abs(r[col]))
+            piv = sel[0]
+            keep = [piv]
+            for r in sel[1:]:
+                q = r[col] // piv[col]
+                nr = [x - q * y for x, y in zip(r, piv)]
+                if nr[col] != 0:
+                    keep.append(nr)
+                elif any(nr):
+                    rest.append(nr)
+            sel = keep
+        piv = sel[0]
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        basis.append(piv)
+        pivots.append(col)
+        pool = rest
+    # reduce entries above the pivots, from the last pivot up
+    for i in range(len(basis) - 1, -1, -1):
+        col = pivots[i]
+        for j in range(i):
+            q = basis[j][col] // basis[i][col]
+            if q:
+                basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
+    return basis
 
 
 # -- membership --------------------------------------------------------
@@ -401,21 +473,12 @@ class Table1Report:
         return f"{self.passed}/{self.total}"
 
 
-def _factor_text(u: QuadraticRingElement, power: int) -> str:
-    v = u ** power
-    p, q, den = v.to_triple()
-    if v.kappa == 5:
-        from .ring import golden_parts
+_IRRATIONAL_TEXT = {5: "tau", 2: "sqrt(2)", 3: "sqrt(3)"}
 
-        m, n = golden_parts(v)
-        tpart = "tau" if n == 1 else f"{n}tau"
-        if m == 0:
-            return tpart
-        return f"{m}+{tpart}"
-    label = {2: "sqrt(2)", 3: "sqrt(3)"}[v.kappa]
-    spart = label if q == 1 else f"{q}{label}"
-    body = f"{p}+{spart}" if p else spart
-    return body if den == 1 else f"({body})/{den}"
+
+def _factor_text(u: QuadraticRingElement, power: int) -> str:
+    """u**power as the CLI writes it, with t spelled out."""
+    return format_element(u ** power).replace("t", _IRRATIONAL_TEXT[u.kappa])
 
 
 def verify_table1() -> Table1Report:

@@ -126,23 +126,6 @@ def hamilton_matrix(a: GoldenQuaternion, right: bool = False) -> tuple[list[int]
     return [v for i in range(4) for j in range(4) for v in (p[j][i], q[j][i])], den
 
 
-def left_matrix(a: GoldenQuaternion):
-    """Matrix (rows of column images) of Q -> a*Q on (w,x,y,z) columns."""
-    return _matrix(a, False)
-
-
-def right_matrix(b: GoldenQuaternion):
-    """Matrix of Q -> Q*b."""
-    return _matrix(b, True)
-
-
-def _matrix(a: GoldenQuaternion, right: bool):
-    """The rows of hamilton_matrix(a, right) as ring elements."""
-    x, den = hamilton_matrix(a, right)
-    return tuple(tuple(QuadraticRingElement(x[k], x[k + 1], a.kappa, den)
-                       for k in range(8 * i, 8 * i + 8, 2)) for i in range(4))
-
-
 def require_unit(q: GoldenQuaternion) -> None:
     if qnorm(q) != QuadraticRingElement(1):
         raise DomainError("quaternion is not a unit icosian (norm != 1)")

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ring import DomainError, QuadraticRingElement, tau
-from .vectors import ExactVector, reflect
+from .vectors import ExactVector
 
 #: I2(n) whose coordinate ring is a real quadratic ring, keyed to kappa.
 QUADRATIC_I2 = {5: 5, 8: 2, 10: 5, 12: 3}

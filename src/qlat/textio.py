@@ -9,6 +9,7 @@ triple [p, q, den] over sqrt(kappa).
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd
 
 from .ring import DomainError, QuadraticRingElement
@@ -47,6 +48,16 @@ def format_numerators(p: int, q: int, kappa: int, den: int) -> str:
     return f"{body}/{den}"
 
 
+def _integer(digits: str) -> int:
+    """int(digits); over Python's limit on integer strings, a DomainError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(
+            f"coordinate has an integer of {len(digits)} digits, over the limit "
+            f"of {sys.get_int_max_str_digits()}") from None
+
+
 def parse_element(text: str, kappa: int = 5) -> QuadraticRingElement:
     tok = text.strip().replace(" ", "")
     if not tok:
@@ -54,11 +65,11 @@ def parse_element(text: str, kappa: int = 5) -> QuadraticRingElement:
     den = 1
     m = re.match(r"^\((.+)\)/(\d+)$", tok)
     if m:
-        body, den = m.group(1), int(m.group(2))
+        body, den = m.group(1), _integer(m.group(2))
     else:
         m = re.match(r"^([^/]+)/(\d+)$", tok)
         if m:
-            body, den = m.group(1), int(m.group(2))
+            body, den = m.group(1), _integer(m.group(2))
         else:
             body = tok
     if den == 0:
@@ -73,9 +84,9 @@ def parse_element(text: str, kappa: int = 5) -> QuadraticRingElement:
         piece = piece.lstrip("+-")
         if piece.endswith("t"):
             digits = piece[:-1].strip()
-            b += sign * int(digits or "1")
+            b += sign * _integer(digits or "1")
         else:
-            a += sign * int(piece)
+            a += sign * _integer(piece)
         pos = part.end()
     if pos != len(body):
         raise DomainError(f"cannot parse coordinate {text!r}")

@@ -1,15 +1,16 @@
 """Exact object arithmetic kept as test oracles.
 
 The library multiplies matrices, applies them to vectors, multiplies
-quaternions, decides quasilattice membership on integer numerators and
-classifies rescalings by a period; these are the same operations written
-entry by entry with QuadraticRingElement and Fraction, membership by the
-paper's four coefficient rules, and rescaling power by power.
+quaternions, inverts integer matrices by integer elimination, decides
+quasilattice membership on integer numerators and classifies rescalings
+by a period; these are the same operations written entry by entry with
+QuadraticRingElement and Fraction, inverses and frame coefficients by
+determinants, membership by the paper's four coefficient rules, and
+rescaling power by power.
 """
 
 from fractions import Fraction
 
-from qlat import linalg
 from qlat.quaternions import GoldenQuaternion
 from qlat.ring import QuadraticRingElement
 from qlat.roots import _EVEN_PERMS_4
@@ -60,14 +61,15 @@ def _rational_coordinates(v: ExactVector) -> list[Fraction]:
 
 
 def rule_frame_coefficients(qlm, v: ExactVector):
-    """Frame coefficients of v by a Fraction solve, or None when v has the
-    wrong dimension or radicand for the module."""
+    """Frame coefficients of v by Cramer's rule over Fraction, or None when
+    v has the wrong dimension or radicand for the module."""
     if v.dim != qlm.dim or (any(c.q for c in v.coords) and v.kappa != qlm.kappa):
         return None
     cols = [_rational_coordinates(f) for f in qlm.frame]
-    inverse = linalg.mat_inverse([list(row) for row in zip(*cols)])
     x = _rational_coordinates(v)
-    return tuple(sum(a * b for a, b in zip(row, x)) for row in inverse)
+    whole = det(list(zip(*cols)))
+    return tuple(det(list(zip(*(cols[:j] + [x] + cols[j + 1:])))) / whole
+                 for j in range(len(cols)))
 
 
 def rule_membership(qlm, v: ExactVector):
@@ -123,6 +125,21 @@ def det(a) -> Fraction:
                 f = m[r][col] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return sign * result
+
+
+def inverse(a) -> list[list[Fraction]]:
+    """Inverse by the adjugate: entry (i, j) is the (j, i) cofactor over
+    det(a).  Raises ZeroDivisionError when a is singular."""
+    n = len(a)
+    whole = det(a)
+    if n == 1:
+        return [[1 / whole]]
+
+    def minor(i, j):
+        return [row[:j] + row[j + 1:] for k, row in enumerate(map(list, a)) if k != i]
+
+    return [[(-1) ** (i + j) * det(minor(j, i)) / whole for j in range(n)]
+            for i in range(n)]
 
 
 def power_scale_verdict(qlm, factor: QuadraticRingElement, power: int) -> str:

@@ -294,6 +294,19 @@ def test_member_rejects_malformed_coordinates(capsys, vector):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["member", "--ql", "H4", "--vector", "1" * 5000 + ",0,0,0"],
+    ["member", "--ql", "H4", "--vector", "1/" + "1" * 5000 + ",0,0,0"],
+    ["scale", "--ql", "H4", "--factor", "1" * 5000 + "t"],
+], ids=["member", "member-denominator", "scale-factor"])
+def test_integers_over_the_digit_limit_are_refused(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "5000 digits" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("content,line", [
     ("", 0),
     ("# target,H3-bcc,window,cell,scale,1.0,radius,3.0\n"
@@ -324,6 +337,22 @@ def test_diffract_rejects_malformed_k_list(capsys, tmp_path, k_list):
     assert code == 1
     assert captured.err.startswith("error:") and "3-component" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k_list", ["[[0, 0, NaN]]", "[[1, 0, 0], [Infinity, 0, 0]]",
+                                    '{"k": [[-Infinity, 1, 2]]}', '[["nan", 0, 0]]'])
+def test_diffract_refuses_non_finite_k_vectors(capsys, tmp_path, k_list):
+    patch = _patch_file(capsys, tmp_path)
+    klist = tmp_path / "k.json"
+    klist.write_text(k_list)
+    out = tmp_path / "i.csv"
+    code = main(["diffract", "--in", str(patch), "--k-list", str(klist),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {klist}:") and "finite" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_diffract_refuses_a_patch_without_points(capsys, tmp_path):

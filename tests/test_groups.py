@@ -17,7 +17,6 @@ from qlat.groups import (
     generate,
     h4_element_from_quaternions,
     identity_element,
-    matrix_to_compact,
     orbit,
     reflection_matrix,
 )
@@ -139,7 +138,7 @@ def test_pair_and_negated_pair_give_the_same_map():
     a = h4_element_from_quaternions(q1, q2)
     b = h4_element_from_quaternions(-q1, -q2)
     assert a == b
-    assert matrix_to_compact(a).tobytes() == matrix_to_compact(b).tobytes()
+    assert (a.den, a.numerators.tobytes()) == (b.den, b.numerators.tobytes())
 
 
 # -- the integer representation against exact object arithmetic ---------
@@ -247,9 +246,9 @@ def test_integer_elements_equal_and_hash_like_entry_built_ones(system):
     for g in random.Random(8).sample(group.elements, 10):
         built = GroupElement(g.entries)
         assert built == g and hash(built) == hash(g) and built in group
-        assert matrix_to_compact(built).tobytes() == matrix_to_compact(g).tobytes()
+        assert (built.den, built.numerators.tobytes()) == (4, g.numerators.tobytes())
     assert group.compact_byte_set() == frozenset(
-        matrix_to_compact(GroupElement(g.entries)).tobytes() for g in group)
+        GroupElement(g.entries).numerators.tobytes() for g in group)
 
 
 def test_rational_matrices_ignore_their_kappa_label():
@@ -330,3 +329,12 @@ def test_generate_redoes_the_closure_after_cache_clear(monkeypatch):
     second = generate(H3)
     assert len(calls) == 1 and second is not first
     assert second.compact_byte_set() == first.compact_byte_set()
+
+
+def test_closure_refuses_a_generator_off_the_quarter_integers():
+    # the closure keeps every element over the denominator 4
+    third = GroupElement([[_entry(1, 0, 5, 3), _entry(0, 0, 5, 1)],
+                          [_entry(0, 0, 5, 1), _entry(1, 0, 5, 1)]])
+    assert third.den == 12
+    with pytest.raises(DomainError, match="divide 4"):
+        groups._bfs_compact([identity_element(2), third], 5)

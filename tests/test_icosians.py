@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_oracle import object_qmul
+from qlat.groups import _quaternion_map
 from qlat.quaternions import (
     GoldenQuaternion,
     is_in_icosian_ring,
-    left_matrix,
     qconj,
     qmul,
     qnorm,
     require_unit,
-    right_matrix,
     unit_icosians,
 )
 from qlat.ring import DomainError, QuadraticRingElement, golden, tau
@@ -116,26 +115,22 @@ def test_norm_one_ring_elements_in_a_box_are_the_unit_icosians():
 
 def test_left_right_matrices_commute():
     units = unit_icosians()
-    from qlat.groups import GroupElement
-
     rng = random.Random(9)
     for _ in range(10):
         a, b = rng.choice(units), rng.choice(units)
-        l = GroupElement(left_matrix(a))
-        r = GroupElement(right_matrix(b))
+        l = _quaternion_map(a)
+        r = _quaternion_map(b, right=True)
         assert l @ r == r @ l
 
 
 def test_matrix_realizations_match_quaternion_products():
     units = unit_icosians()
-    from qlat.groups import GroupElement
-
     rng = random.Random(13)
     for _ in range(20):
         a, q = rng.choice(units), rng.choice(units)
-        lm = GroupElement(left_matrix(a))
+        lm = _quaternion_map(a)
         assert lm.apply(q.as_vector()) == qmul(a, q).as_vector()
-        rm = GroupElement(right_matrix(a))
+        rm = _quaternion_map(a, right=True)
         assert rm.apply(q.as_vector()) == qmul(q, a).as_vector()
 
 
@@ -233,11 +228,12 @@ def test_qmul_of_a_rational_quaternion_labelled_kappa_2_and_a_golden_one(data):
 def test_left_right_matrices_match_object_products(data, kappa):
     a = data.draw(_quaternions(kappa))
     basis = [GoldenQuaternion(*(int(i == j) for j in range(4))) for i in range(4)]
+    left, right = _quaternion_map(a).entries, _quaternion_map(a, right=True).entries
     for j, e in enumerate(basis):
         _assert_same_components(
-            GoldenQuaternion(*(row[j] for row in left_matrix(a))), object_qmul(a, e))
+            GoldenQuaternion(*(row[j] for row in left)), object_qmul(a, e))
         _assert_same_components(
-            GoldenQuaternion(*(row[j] for row in right_matrix(a))), object_qmul(e, a))
+            GoldenQuaternion(*(row[j] for row in right)), object_qmul(e, a))
 
 
 def test_quaternion_times_a_number_is_a_type_error_and_number_times_quaternion_scales():

@@ -1,6 +1,8 @@
 """Kernels against exact arithmetic, closed forms and brute force."""
 
 import itertools
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,9 +18,15 @@ from qlat.cutproject import (
     embedding,
     generate_patch,
 )
-from qlat.groups import compact_to_matrix, generate, matrix_to_compact
-from qlat.ring import DomainError
+from qlat.groups import generate
+from qlat.ring import DomainError, QuadraticRingElement
 from qlat.roots import H3, H4
+
+
+def _entries(numerators, kappa):
+    """The entries (x + y*sqrt(kappa))/4 of a (d, d, 2) numerator array."""
+    return tuple(tuple(QuadraticRingElement(x, y, kappa, 4) for x, y in row)
+                 for row in numerators.tolist())
 
 
 def test_quad_matmul_matches_object_products():
@@ -30,9 +38,8 @@ def test_quad_matmul_matches_object_products():
         b = 2 * rng.integers(-3, 4, size=(4, 4, 2))
         prods = kernels.quad_matmul_batch(a, b, kappa)
         for i in range(len(a)):
-            expected = object_matmul(compact_to_matrix(a[i], kappa).entries,
-                                     compact_to_matrix(b, kappa).entries)
-            assert compact_to_matrix(prods[i], kappa).entries == expected
+            expected = object_matmul(_entries(a[i], kappa), _entries(b, kappa))
+            assert _entries(prods[i], kappa) == expected
 
 
 def test_quad_matmul_matches_object_arithmetic():
@@ -40,10 +47,11 @@ def test_quad_matmul_matches_object_arithmetic():
     for system in (H3, H4):
         group = generate(system).elements
         els = [group[i] for i in rng.choice(len(group), size=6)]
-        a = np.stack([matrix_to_compact(g) for g in els[:5]])
-        prods = kernels.quad_matmul_batch(a, matrix_to_compact(els[5]), 5)
+        assert all(g.den == 4 for g in els)
+        a = np.stack([g.numerators for g in els[:5]])
+        prods = kernels.quad_matmul_batch(a, els[5].numerators, 5)
         for i in range(5):
-            assert (compact_to_matrix(prods[i], 5).entries
+            assert (_entries(prods[i], 5)
                     == object_matmul(els[i].entries, els[5].entries))
 
 
@@ -152,6 +160,51 @@ def test_structure_factor_matches_finite_chain_closed_form():
     expected = (np.sin(n * q / 2) / (n * np.sin(q / 2))) ** 2
     assert np.allclose(kernels.structure_factor_sum(points, ks), expected,
                        rtol=0, atol=1e-12)
+
+
+def _chunk_sizes(monkeypatch):
+    """Record the number of (point, k) phases of every chunk summed."""
+    sizes = []
+    inner = kernels._intensities
+
+    def spy(points, ks):
+        sizes.append(len(points) * len(ks))
+        return inner(points, ks)
+
+    monkeypatch.setattr(kernels, "_intensities", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("limit", [1, 3 * 37, 10 * 37, 37 * 37])
+def test_structure_factor_chunks_match_per_k_sums_bit_for_bit(monkeypatch, limit):
+    # dyadic coordinates make every phase exact, so each k's sum can be
+    # rebuilt alone: its cosines and sines added one point at a time
+    rng = np.random.default_rng(6)
+    points = rng.integers(-64, 65, size=(37, 3)) / 8
+    ks = rng.integers(-64, 65, size=(23, 3)) / 16
+    monkeypatch.setattr(kernels, "MAX_CHUNK_PHASES", limit)
+    sizes = _chunk_sizes(monkeypatch)
+    got = kernels.structure_factor_sum(points, ks)
+    assert sum(sizes) == 37 * 23
+    width = max(1, limit // 37)
+    assert len(sizes) == (1 if limit >= 37 * 23 else min(-(-23 // width), 23 // 2))
+    assert all(2 * 37 <= size <= max(limit, 3 * 37) for size in sizes)
+    for k, value in zip(ks, got):
+        phases = points @ k
+        re = reduce(operator.add, np.cos(phases).tolist())
+        im = reduce(operator.add, np.sin(phases).tolist())
+        assert value == (re * re + im * im) / (37 * 37)
+
+
+def test_structure_factor_refuses_too_many_pairs_before_any_phase(monkeypatch):
+    # broadcast views: 2e9 pairs described without allocating them
+    points = np.broadcast_to(np.zeros(3), (100_000, 3))
+    ks = np.broadcast_to(np.ones(3), (20_000, 3))
+    sizes = _chunk_sizes(monkeypatch)
+    with pytest.raises(DomainError, match="limit"):
+        kernels.structure_factor_sum(points, ks)
+    assert sizes == []
+    assert kernels.MAX_PAIRS < 100_000 * 20_000
 
 
 def test_structure_factor_periodic_chain():

@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exact_oracle import (
     det,
+    inverse,
     h4_parity_ok,
     object_combination,
     power_scale_verdict,
@@ -19,9 +21,11 @@ from exact_oracle import (
 from qlat.modules import (
     QL_NAMES,
     H4Residue,
+    _integer_inverse,
     contains_root_copy,
     enumerate_h4_residues,
     h4_residue_of,
+    hnf_rows,
     membership,
     ql,
     random_member,
@@ -50,6 +54,80 @@ def test_member_basis_is_a_basis(name):
     for b in qlm.member_basis:
         res = membership(qlm, b)
         assert res.member, (name, b)
+
+
+# -- integer linear algebra ------------------------------------------------
+
+_H4_MEMBER_BASIS = [
+    [1, 0, 0, -1, 0, 2, 1, 1], [0, 1, 0, 1, 0, -1, -1, 0],
+    [0, 0, 1, 1, 0, -1, 0, -1], [0, 0, 0, 2, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 2, 0, 0],
+    [0, 0, 0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 0, 0, 2],
+]
+
+
+def test_h4_member_basis_rows_are_pinned():
+    # every patch's coefficients, and so every patch digest, are in this basis
+    assert ql("H4").member_basis_coeffs == _H4_MEMBER_BASIS
+    assert ql("H4").member_basis_den == 1
+
+
+def _square_matrices(max_size=8, bound=9):
+    return st.integers(1, max_size).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_square_matrices(), den=st.integers(1, 60))
+def test_integer_inverse_matches_the_adjugate(rows, den):
+    assume(det(rows) != 0)
+    expected = [[x * den for x in row] for row in inverse(rows)]
+    expected_den = lcm(*(x.denominator for row in expected for x in row))
+    assert _integer_inverse(rows, den) == (
+        [[int(x * expected_den) for x in row] for row in expected], expected_den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=_square_matrices(), den=st.integers(1, 60),
+       weights=st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+def test_integer_inverse_refuses_a_singular_matrix(rows, den, weights):
+    # the last row becomes an integer combination of the others
+    rows[-1] = [sum(w * row[j] for w, row in zip(weights, rows[:-1]))
+                for j in range(len(rows))]
+    with pytest.raises(DomainError, match="singular"):
+        _integer_inverse(rows, den)
+
+
+def _maximal_minor_gcd(rows, rank):
+    """gcd of the rank x rank minors of an integer matrix: the same for any
+    two generating sets of one lattice of that rank."""
+    return gcd(*(int(det([[rows[i][j] for j in cols] for i in picked]))
+                 for picked in combinations(range(len(rows)), rank)
+                 for cols in combinations(range(len(rows[0])), rank)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=1, max_size=6)))
+def test_hnf_rows_is_an_echelon_basis_of_the_same_lattice(gens):
+    basis = hnf_rows(gens)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (row, col) in enumerate(zip(basis, pivots)):
+        assert row[col] > 0
+        assert i == 0 or 0 <= basis[i - 1][col] < row[col]
+    # every generator reduces to zero against the echelon rows, so the
+    # basis spans them; equal minor gcds then make the lattices equal
+    for gen in gens:
+        rest = list(gen)
+        for row, col in zip(basis, pivots):
+            q, r = divmod(rest[col], row[col])
+            assert r == 0
+            rest = [x - q * y for x, y in zip(rest, row)]
+        assert not any(rest)
+    if basis:
+        assert _maximal_minor_gcd(gens, len(basis)) == _maximal_minor_gcd(basis, len(basis))
 
 
 def test_h4_roots_are_members_at_unit_scale():
