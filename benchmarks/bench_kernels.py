@@ -1,7 +1,7 @@
 """Time the three numpy kernels, the integer-backed group and quaternion
-paths, exact vector arithmetic, the cold build of the seven modules, the
-scalar module coordinates and the patch path (generate, exact points,
-write, read).
+paths, exact vector and ring arithmetic, reflection matrices, the cold
+build of the seven modules, the scalar module coordinates and the patch
+path (generate, exact points, write, read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
@@ -111,6 +111,28 @@ def bench_vector_arithmetic():
              lambda: [a.scale(t) for a, _ in pairs])]
 
 
+def bench_ring_arithmetic():
+    from qlat.ring import QuadraticRingElement
+
+    rng = random.Random(0)
+    xs = [QuadraticRingElement(rng.randint(-9, 9), rng.randint(-9, 9), 5, rng.choice((1, 2)))
+          for _ in range(1001)]
+    pairs = list(zip(xs, xs[1:]))
+    return [("QRE a + b (kappa 5), 1000 calls", lambda: [a + b for a, b in pairs]),
+            ("QRE a * b (kappa 5), 1000 calls", lambda: [a * b for a, b in pairs])]
+
+
+def bench_reflection_matrices():
+    from qlat.groups import reflection_matrix
+    from qlat.roots import H4, I2, gram, simple_roots
+
+    def matrices(system):
+        g, rs = gram(system), simple_roots(system)
+        return lambda: [reflection_matrix(r, g) for r in rs]
+
+    return [(f"reflection_matrix, simple roots of {s}", matrices(s)) for s in (H4, I2(8))]
+
+
 def bench_membership(name):
     from qlat.modules import membership, ql, random_member
 
@@ -185,6 +207,8 @@ def main():
         partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
         bench_module_build, bench_from_basis_coefficients_h4)]
     benches += bench_vector_arithmetic()
+    benches += bench_ring_arithmetic()
+    benches += bench_reflection_matrices()
     benches += bench_patch_exact()
     with tempfile.TemporaryDirectory() as workdir:
         for label, fn in benches + bench_patches(workdir):

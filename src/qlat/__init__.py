@@ -51,10 +51,8 @@ from .ring import (
     FundamentalUnitResult,
     QuadraticRingElement,
     fundamental_unit,
-    galois_conjugate,
     golden,
     golden_parts,
-    ring_norm,
     tau,
     totient,
 )

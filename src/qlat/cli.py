@@ -96,7 +96,7 @@ def cmd_member(args):
                           f"not {v.dim}")
     res = modules.membership(qlm, v)
     if res.member:
-        coeff_text = [str(c) for c in res.coefficients]
+        coeff_text = [textio.format_rational(c) for c in res.coefficients]
         _emit(args, {"ql": qlm.name, "member": True, "coefficients": coeff_text},
               ["member (coefficients: %s)" % ", ".join(coeff_text)])
         return 0

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import kernels
 from .quaternions import GoldenQuaternion, hamilton_matrix, qconj, require_unit
-from .ring import DomainError, QuadraticRingElement
+from .ring import DomainError, QuadraticRingElement, radicand
 from .roots import RootSystemId, gram, is_quadratic, kappa_of, simple_roots
-from .vectors import ExactVector
+from .vectors import ExactVector, reflect
 
 
 def _int_array(values, shape) -> np.ndarray:
@@ -49,18 +49,6 @@ def _canonical(numerators: np.ndarray, den: int):
     g = gcd(den, *flat)
     scale = lcm(4, den // g) // (den // g)
     return _int_array([x // g * scale for x in flat], numerators.shape), den // g * scale
-
-
-def _radicand(numerators: np.ndarray, kappa: int, other_kappa: int,
-              other_irrational) -> int:
-    """The radicand of the product of a matrix over sqrt(kappa) with a
-    factor over sqrt(other_kappa); DomainError when both are irrational.
-    other_irrational is a callable, called only when the radicands differ."""
-    if kappa == other_kappa or not other_irrational():
-        return kappa
-    if numerators[..., 1].any():
-        raise DomainError(f"mixed radicands: sqrt({kappa}) vs sqrt({other_kappa})")
-    return other_kappa
 
 
 class GroupElement:
@@ -121,7 +109,8 @@ class GroupElement:
         return hash(self._key)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        kappa = _radicand(self.numerators, self.kappa, other.kappa, other._irrational)
+        kappa = self.kappa if self.kappa == other.kappa else radicand(
+            self.kappa, self._irrational(), other.kappa, other._irrational())
         product = kernels.quad_product(self.numerators, other.numerators, kappa)
         return GroupElement._wrap(*_canonical(product, self.den * other.den), kappa)
 
@@ -183,7 +172,9 @@ def _operand(numerators: np.ndarray, kappa: int, v: ExactVector):
         raise DomainError(
             f"cannot apply a {d}x{d} matrix to a {v.dim}-component vector")
     x, den = v.numerators()
-    return x, den, _radicand(numerators, kappa, v.kappa, lambda: any(x[d:]))
+    if v.kappa != kappa:
+        kappa = radicand(kappa, bool(numerators[..., 1].any()), v.kappa, any(x[d:]))
+    return x, den, kappa
 
 
 def identity_element(d: int) -> GroupElement:
@@ -193,26 +184,12 @@ def identity_element(d: int) -> GroupElement:
 
 
 def reflection_matrix(r: ExactVector, g=None) -> GroupElement:
-    """Matrix of the reflection in the hyperplane normal to root r."""
+    """Matrix of the reflection in the hyperplane normal to root r: its
+    column j is the reflection of the unit vector e_j."""
     d = r.dim
-    if r.is_zero():
-        raise DomainError("cannot reflect in a zero root")
-    if g is None:
-        gr = list(r.coords)
-        rr = r.dot(r)
-    else:
-        gr = [
-            sum((g[i][j] * r.coords[j] for j in range(d)), QuadraticRingElement(0))
-            for i in range(d)
-        ]
-        rr = sum((r.coords[i] * gr[i] for i in range(d)), QuadraticRingElement(0))
-    return GroupElement(
-        tuple(
-            int(i == j) - (r.coords[i] * gr[j] * 2) / rr
-            for j in range(d)
-        )
-        for i in range(d)
-    )
+    columns = [reflect(ExactVector.from_numerators(
+        [int(i == j) for i in range(2 * d)], 1, r.kappa), r, g) for j in range(d)]
+    return GroupElement(zip(*columns))
 
 
 class ReflectionGroup:

@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
-from .ring import DomainError, QuadraticRingElement, fundamental_unit, golden, tau
+from .ring import DomainError, QuadraticRingElement, fundamental_unit, golden, radicand, tau
 from .roots import H3, H4, I2, RootSystemId, roots
 from .textio import format_element
 from .vectors import ExactVector
@@ -124,10 +124,9 @@ class QLModule:
         """Numerators of v's basis coefficients over one denominator."""
         if v.dim != self.dim:
             raise DomainError("dimension mismatch")
-        if v.kappa != self.kappa and any(v.form[self.dim:]):
-            raise DomainError(
-                f"vector ring sqrt({v.kappa}) does not match QL ring sqrt({self.kappa})"
-            )
+        if v.kappa != self.kappa:
+            # the module's points are irrational: only a rational v fits
+            radicand(self.kappa, True, v.kappa, any(v.form[self.dim:]))
         return _solve(self._inverse, self._inverse_den, v)
 
     def _frame_values(self, numerators, den: int) -> tuple[Fraction, ...]:
@@ -408,10 +407,7 @@ def _scale_period(qlm: QLModule, factor: QuadraticRingElement) -> Optional[int]:
     maps the member basis into the module maps it onto the module, and the
     powers that keep the module are the multiples of p.
     """
-    if factor.q != 0 and factor.kappa != qlm.kappa:
-        raise DomainError(
-            f"factor ring sqrt({factor.kappa}) does not match QL ring sqrt({qlm.kappa})"
-        )
+    radicand(qlm.kappa, True, factor.kappa, factor.q != 0)
     if abs(factor.norm()) != 1:
         raise DomainError("scale factor must be a unit (|norm| = 1)")
     if not factor.is_ring_integer():

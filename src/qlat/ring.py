@@ -17,6 +17,18 @@ class DomainError(ValueError):
     """Raised when an operation leaves its mathematical domain."""
 
 
+def radicand(kappa: int, irrational: bool, other: int, other_irrational: bool) -> int:
+    """The radicand of a result of an operand over sqrt(kappa) and one over
+    sqrt(other): that of the irrational operand, or kappa when neither is
+    irrational.  A rational value fits any radicand; two irrational
+    operands over different radicands never mix."""
+    if kappa == other or not other_irrational:
+        return kappa
+    if irrational:
+        raise DomainError(f"mixed radicands: sqrt({kappa}) vs sqrt({other})")
+    return other
+
+
 def _squarefree(n: int) -> bool:
     if n < 1:
         return False
@@ -68,12 +80,6 @@ class QuadraticRingElement:
 
     def _coerce(self, other) -> "QuadraticRingElement":
         if isinstance(other, QuadraticRingElement):
-            if other.q != 0 and self.q != 0 and other.kappa != self.kappa:
-                raise DomainError(
-                    f"mixed radicands: sqrt({self.kappa}) vs sqrt({other.kappa})"
-                )
-            if other.q == 0 and other.kappa != self.kappa:
-                return QuadraticRingElement(other.p, 0, self.kappa, other.den)
             return other
         if isinstance(other, (int, Fraction)):
             return QuadraticRingElement.rational(other, self.kappa)
@@ -85,10 +91,12 @@ class QuadraticRingElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        k = self.kappa if self.kappa == o.kappa else radicand(
+            self.kappa, self.q != 0, o.kappa, o.q != 0)
         return QuadraticRingElement(
             self.p * o.den + o.p * self.den,
             self.q * o.den + o.q * self.den,
-            self.kappa if self.q else o.kappa,
+            k,
             self.den * o.den,
         )
 
@@ -110,7 +118,8 @@ class QuadraticRingElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        k = self.kappa if self.q else o.kappa
+        k = self.kappa if self.kappa == o.kappa else radicand(
+            self.kappa, self.q != 0, o.kappa, o.q != 0)
         return QuadraticRingElement(
             self.p * o.p + self.q * o.q * k,
             self.p * o.q + self.q * o.p,
@@ -240,14 +249,6 @@ class QuadraticRingElement:
 
 
 # -- module-level operations --------------------------------------------
-
-def galois_conjugate(x: QuadraticRingElement) -> QuadraticRingElement:
-    return x.conjugate()
-
-
-def ring_norm(x: QuadraticRingElement) -> Fraction:
-    return x.norm()
-
 
 def tau() -> QuadraticRingElement:
     """The golden ratio (1 + sqrt(5)) / 2."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
+from fractions import Fraction
 from math import gcd
 
 from .ring import DomainError, QuadraticRingElement
@@ -56,6 +57,16 @@ def _integer(digits: str) -> int:
         raise DomainError(
             f"coordinate has an integer of {len(digits)} digits, over the limit "
             f"of {sys.get_int_max_str_digits()}") from None
+
+
+def format_rational(x: Fraction) -> str:
+    """str(x); over Python's limit on integer strings, a DomainError."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DomainError(
+            f"a result has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, over the limit for integer strings") from None
 
 
 def parse_element(text: str, kappa: int = 5) -> QuadraticRingElement:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .ring import DomainError, QuadraticRingElement
+from .ring import DomainError, QuadraticRingElement, radicand
 
 Gram = Optional[Sequence[Sequence[QuadraticRingElement]]]
 
@@ -36,14 +36,16 @@ class ExactVector:
             c if isinstance(c, QuadraticRingElement) else QuadraticRingElement.rational(c)
             for c in coords
         )
+        kappa, irrational = cells[0].kappa if cells else 5, False
+        for c in cells:
+            if c.kappa != kappa:
+                kappa = radicand(kappa, irrational, c.kappa, c.q != 0)
+            irrational = irrational or c.q != 0
         den = lcm(*(c.den for c in cells))
         self.form = tuple([c.p * (den // c.den) for c in cells]
                           + [c.q * (den // c.den) for c in cells])
-        kappas = {c.kappa for c in cells if c.q}
-        if len(kappas) > 1:
-            raise DomainError(f"mixed radicands: {sorted(kappas)}")
         self.den = den
-        self.kappa = kappas.pop() if kappas else cells[0].kappa if cells else 5
+        self.kappa = kappa
         self._coords = cells
 
     @classmethod
@@ -86,21 +88,16 @@ class ExactVector:
     def __len__(self):
         return self.dim
 
-    def _radicand(self, kappa: int, q_parts: Sequence[int]) -> int:
-        """The radicand of a result of self and a factor over sqrt(kappa)
-        whose sqrt(kappa) numerators are q_parts: DomainError when both
-        are irrational over different radicands."""
-        if kappa == self.kappa or not any(q_parts):
-            return self.kappa
-        if any(self.form[self.dim:]):
-            raise DomainError(f"mixed radicands: sqrt({self.kappa}) vs sqrt({kappa})")
-        return kappa
+    def _irrational(self) -> bool:
+        return any(self.form[self.dim:])
 
     def _match(self, other: "ExactVector") -> int:
         """The radicand of a result of self and the vector other."""
         if len(self.form) != len(other.form):
             raise DomainError("dimension mismatch")
-        return self._radicand(other.kappa, other.form[other.dim:])
+        if self.kappa == other.kappa:
+            return self.kappa
+        return radicand(self.kappa, self._irrational(), other.kappa, other._irrational())
 
     def _combine(self, other: "ExactVector", sign: int) -> "ExactVector":
         kappa = self._match(other)
@@ -122,7 +119,9 @@ class ExactVector:
         """s times the vector, for s an int, a Fraction or a ring element
         (a + b*sqrt(kappa))/c: p' = a*p + kappa*b*q, q' = b*p + a*q over den*c."""
         if isinstance(s, QuadraticRingElement):
-            a, b, c, kappa = s.p, s.q, s.den, self._radicand(s.kappa, (s.q,))
+            kappa = self.kappa if self.kappa == s.kappa else radicand(
+                self.kappa, self._irrational(), s.kappa, s.q != 0)
+            a, b, c = s.p, s.q, s.den
         elif isinstance(s, (int, Fraction)):
             s = Fraction(s)
             a, b, c, kappa = s.numerator, 0, s.denominator, self.kappa
@@ -139,7 +138,7 @@ class ExactVector:
     def __eq__(self, other):
         return (isinstance(other, ExactVector) and self.form == other.form
                 and self.den == other.den
-                and (self.kappa == other.kappa or not any(self.form[self.dim:])))
+                and (self.kappa == other.kappa or not self._irrational()))
 
     def __hash__(self):
         return hash((self.form, self.den))

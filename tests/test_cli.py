@@ -307,6 +307,16 @@ def test_integers_over_the_digit_limit_are_refused(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_member_refuses_coefficients_over_the_digit_limit(capsys, fmt):
+    # 4300 digits parse, but the first frame coefficient has 4301
+    code = main(["member", "--ql", "H4", "--format", fmt,
+                 "--vector", "9" * 4300 + ",0,0,0"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("content,line", [
     ("", 0),
     ("# target,H3-bcc,window,cell,scale,1.0,radius,3.0\n"

@@ -23,8 +23,8 @@ from qlat.groups import (
 from qlat.modules import ql
 from qlat.quaternions import unit_icosians
 from qlat.ring import DomainError, QuadraticRingElement, tau
-from qlat.roots import H3, H4, I2, gram, roots, simple_roots
-from qlat.vectors import ExactVector
+from qlat.roots import H3, H4, I2, gram, kappa_of, roots, simple_roots
+from qlat.vectors import ExactVector, reflect
 
 
 @pytest.mark.parametrize("system,order", [
@@ -89,6 +89,23 @@ def test_reflections_are_involutions():
             m = reflection_matrix(r, g)
             assert m @ m == identity_element(m.dim)
             assert m.det() == QuadraticRingElement(-1)
+
+
+@pytest.mark.parametrize("system", [H3, H4, I2(5), I2(8), I2(10), I2(12)], ids=str)
+def test_reflection_matrices_agree_with_reflect(system):
+    # the integer image against the Gram object arithmetic of reflect
+    g, rs = gram(system), roots(system)
+    for r in rs:
+        m = reflection_matrix(r, g)
+        for v in rs:
+            assert m.apply(v) == reflect(v, r, g)
+
+
+@pytest.mark.parametrize("system", [H3, I2(8)], ids=str)
+def test_reflection_in_a_zero_root_is_refused(system):
+    zero = ExactVector.from_numerators([0] * (2 * system.rank), 1, kappa_of(system))
+    with pytest.raises(DomainError, match="zero root"):
+        reflection_matrix(zero, gram(system))
 
 
 def test_h3_orbit_of_a_root_is_the_root_system():

@@ -259,7 +259,7 @@ def test_membership_matches_rules_on_h4_classes_and_foreign_vectors():
         other = sqrt2 if qlm.kappa != 2 else tau()
         wrong_ring = ExactVector([other] + [QuadraticRingElement(0)] * (qlm.dim - 1))
         wrong_dim = ExactVector([QuadraticRingElement(1)] * (qlm.dim + 1))
-        for v, reason in ((wrong_ring, "does not match"), (wrong_dim, "dimension")):
+        for v, reason in ((wrong_ring, "mixed radicands"), (wrong_dim, "dimension")):
             assert not _assert_agrees_with_rules(qlm, v)
             assert reason in membership(qlm, v).reason
             with pytest.raises(DomainError):
