@@ -82,6 +82,15 @@ def bench_quaternion_maps():
     return "enumerate_h4_quaternion_maps (2 x 120^2)", enumerate_h4_quaternion_maps
 
 
+def bench_quaternion_map_builds():
+    from qlat.groups import _quaternion_map
+    from qlat.quaternions import unit_icosians
+
+    units = unit_icosians()
+    return ("_quaternion_map, 120 left + 120 right",
+            lambda: [_quaternion_map(u, right) for u in units for right in (False, True)])
+
+
 def bench_apply_h4():
     from qlat.groups import generate
     from qlat.roots import H4, roots
@@ -202,8 +211,8 @@ def main():
         bench_quad_matmul, bench_ellipsoid_points, bench_structure_factor)]
     benches += bench_generate_h4()
     benches += [bench() for bench in (
-        bench_orbit_h4, bench_quaternion_maps, bench_apply_h4,
-        bench_icosian_products,
+        bench_orbit_h4, bench_quaternion_maps, bench_quaternion_map_builds,
+        bench_apply_h4, bench_icosian_products,
         partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
         bench_module_build, bench_from_basis_coefficients_h4)]
     benches += bench_vector_arithmetic()

@@ -123,7 +123,7 @@ def cmd_residues(args):
 
 def cmd_scale(args):
     qlm = modules.ql(args.ql)
-    if args.factor:
+    if args.factor is not None:
         factor = textio.parse_element(args.factor, qlm.kappa)
     else:
         factor = fundamental_unit(qlm.kappa).unit
@@ -180,7 +180,7 @@ def _read_k_list(path: str, dim: int) -> np.ndarray:
         try:
             data = json.load(fh)
             ks = np.array(data["k"] if isinstance(data, dict) else data, dtype=float)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, RecursionError):
             ks = None
     if ks is None or ks.ndim != 2 or ks.shape[1] != dim:
         raise DomainError(f"{path}: expected a JSON list of {dim}-component k vectors")
@@ -206,8 +206,14 @@ def cmd_diffract(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error as one stderr line, exit code 2."""
+        self.exit(2, f"{self.prog}: error: {message} (see {self.prog} --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlat",
         description="Non-crystallographic root systems, icosians and "
                     "reflection quasilattices, in exact arithmetic.",

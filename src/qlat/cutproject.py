@@ -24,9 +24,6 @@ from .ring import DomainError, QuadraticRingElement, tau
 from .textio import format_numerators
 from .vectors import ExactVector
 
-_PROJECTABLE = ("H3-primitive", "H3-fcc", "H3-bcc", "H4")
-
-
 @dataclass(frozen=True)
 class Window:
     shape: str = "cell"  # "cell" | "ball"
@@ -51,7 +48,7 @@ class Embedding:
 def embedding(target: str) -> Embedding:
     """Exact-source embedding for an H3 variant or the H4 quasilattice."""
     qlm = ql(target)
-    if qlm.name not in _PROJECTABLE:
+    if qlm.dim == 2:
         raise DomainError(f"no higher-dimensional embedding for {target} "
                           "(2D targets are out of scope)")
     # the member basis vectors are (P + Q*sqrt(kappa))/den, their Galois
@@ -279,10 +276,18 @@ def read_patch_csv(path: str) -> Patch:
     gives for those coefficients, or repeats or reorders the writer's
     points.  Lines count CSV records, so they are the file's lines unless
     a quoted field spans several."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
     line = 1  # where the next refusal points
     try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                rows = list(reader)
+            except csv.Error as exc:
+                line = reader.line_num
+                raise ValueError(exc) from None
+            except UnicodeDecodeError:
+                line = _undecodable_line(path)
+                raise ValueError("the line is not UTF-8 text") from None
         if len(rows) < 2:
             line = len(rows)
             raise ValueError("the file ends early")
@@ -325,6 +330,17 @@ def read_patch_csv(path: str) -> Patch:
     except ValueError as exc:
         raise DomainError(f"{path}, line {line}: not a patch file: {exc}") from None
     return patch
+
+
+def _undecodable_line(path: str) -> int:
+    """The line of the first byte of path that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 1
 
 
 def _out_of_order(coeffs: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,8 @@ hashing work on these integers: products and orbits through the batched
 products of qlat.kernels, the image of one vector in Python ints.  Every
 group is generated by breadth-first closure of the simple-root
 reflections and keeps the closure's rows as one (order, d, d, 2) int64
-array; orbits are one product over that array.
+array; orbits are one product over that array.  Every other matrix is
+built from its columns, the images of the unit vectors e_j.
 
 The H4 group is also realized through unit-icosian pairs q1, q2 acting
 as Q -> conj(q1) Q q2 (optionally with quaternion conjugation of Q).
@@ -22,8 +23,8 @@ from operator import mul
 import numpy as np
 
 from . import kernels
-from .quaternions import GoldenQuaternion, hamilton_matrix, qconj, require_unit
-from .ring import DomainError, QuadraticRingElement, radicand
+from .quaternions import GoldenQuaternion, qconj, qmul, require_unit
+from .ring import DomainError, QuadraticRingElement, common_radicand, radicand
 from .roots import RootSystemId, gram, is_quadratic, kappa_of, simple_roots
 from .vectors import ExactVector, reflect
 
@@ -51,6 +52,20 @@ def _canonical(numerators: np.ndarray, den: int):
     return _int_array([x // g * scale for x in flat], numerators.shape), den // g * scale
 
 
+def _column_form(vectors) -> tuple[np.ndarray, int, int]:
+    """(numerators, den, kappa), in canonical form, of the matrix whose
+    column j is the exact vector vectors[j]."""
+    vectors = list(vectors)
+    d = len(vectors)
+    if any(v.dim != d for v in vectors):
+        raise DomainError(f"a {d}x{d} matrix needs {d} columns of {d} components")
+    den = lcm(*(v.den for v in vectors))
+    kappa = common_radicand((v.kappa, v._irrational()) for v in vectors)
+    # column j's integer form (p_1..p_d, q_1..q_d) is row j of a (d, 2, d) array
+    x = [a * (den // v.den) for v in vectors for a in v.form]
+    return (*_canonical(_int_array(x, (d, 2, d)).transpose(2, 0, 1), den), kappa)
+
+
 class GroupElement:
     """Exact d x d matrix over the coordinate field of its root system.
 
@@ -64,12 +79,12 @@ class GroupElement:
     __slots__ = ("numerators", "den", "kappa", "_key")
 
     def __init__(self, entries):
-        rows = [tuple(row) for row in entries]
-        # the entries, row by row, as one exact vector of length d*d
-        cells = ExactVector(c for row in rows for c in row)
-        x, den = cells.numerators()
-        numerators = _int_array(x, (2, -1)).T.reshape(len(rows), len(rows), 2)
-        self._fill(*_canonical(numerators, den), cells.kappa)
+        self._fill(*_column_form(ExactVector(col) for col in zip(*entries)))
+
+    @classmethod
+    def from_columns(cls, vectors) -> "GroupElement":
+        """The matrix whose column j is the exact vector vectors[j]."""
+        return cls._wrap(*_column_form(vectors))
 
     def _fill(self, numerators: np.ndarray, den: int, kappa: int) -> None:
         self.numerators = numerators
@@ -133,21 +148,16 @@ class GroupElement:
             [sum(map(mul, r, u)) for r in rows] + [sum(map(mul, r, w)) for r in rows],
             self.den * den, kappa)
 
-    def transpose(self) -> "GroupElement":
-        return GroupElement._wrap(
-            np.ascontiguousarray(self.numerators.transpose(1, 0, 2)),
-            self.den, self.kappa)
-
     def det(self) -> QuadraticRingElement:
         return _det(self.entries)
 
     def is_orthogonal(self, g=None) -> bool:
-        """M^T G M == G exactly (G = identity when g is None)."""
-        mt = self.transpose()
-        if g is None:
-            return mt @ self == identity_element(self.dim)
-        g = GroupElement(g)
-        return mt @ g @ self == g
+        """M^T G M == G exactly (G = identity when g is None): the columns
+        M e_j have the inner products G_ij."""
+        d = self.dim
+        cols = [self.apply(e) for e in _unit_vectors(d, self.kappa)]
+        return all(cols[i].dot(cols[j], g) == (int(i == j) if g is None else g[i][j])
+                   for i in range(d) for j in range(d))
 
     def __repr__(self):
         return f"GroupElement(dim={self.dim})"
@@ -177,19 +187,22 @@ def _operand(numerators: np.ndarray, kappa: int, v: ExactVector):
     return x, den, kappa
 
 
+@lru_cache(maxsize=None)
+def _unit_vectors(d: int, kappa: int, cls=ExactVector) -> tuple:
+    """The unit vectors e_1, ..., e_d over sqrt(kappa), of type cls."""
+    return tuple(cls.from_numerators([int(i == j) for i in range(2 * d)], 1, kappa)
+                 for j in range(d))
+
+
 def identity_element(d: int) -> GroupElement:
-    num = np.zeros((d, d, 2), dtype=np.int64)
-    num[np.arange(d), np.arange(d), 0] = 4
-    return GroupElement._wrap(num, 4, 5)
+    return GroupElement.from_columns(_unit_vectors(d, 5))
 
 
 def reflection_matrix(r: ExactVector, g=None) -> GroupElement:
     """Matrix of the reflection in the hyperplane normal to root r: its
     column j is the reflection of the unit vector e_j."""
-    d = r.dim
-    columns = [reflect(ExactVector.from_numerators(
-        [int(i == j) for i in range(2 * d)], 1, r.kappa), r, g) for j in range(d)]
-    return GroupElement(zip(*columns))
+    return GroupElement.from_columns(
+        reflect(e, r, g) for e in _unit_vectors(r.dim, r.kappa))
 
 
 class ReflectionGroup:
@@ -285,26 +298,21 @@ def orbit(group: ReflectionGroup, v: ExactVector) -> frozenset:
 def h4_element_from_quaternions(
     q1: GoldenQuaternion, q2: GoldenQuaternion, conjugating: bool = False
 ) -> GroupElement:
-    """Matrix of Q -> conj(q1) Q q2, or conj(q1) conj(Q) q2."""
+    """Matrix of Q -> conj(q1) Q q2, or conj(q1) conj(Q) q2: its column j
+    is the image of the unit quaternion e_j."""
     require_unit(q1)
     require_unit(q2)
-    m = _quaternion_map(qconj(q1)) @ _quaternion_map(q2, right=True)
-    if conjugating:
-        m = m @ _quaternion_conjugation_matrix()
-    return m
+    c1 = qconj(q1)
+    units = _unit_vectors(4, q1.kappa, GoldenQuaternion)
+    return GroupElement.from_columns(
+        qmul(qmul(c1, qconj(e) if conjugating else e), q2) for e in units)
 
 
 def _quaternion_map(a: GoldenQuaternion, right: bool = False) -> GroupElement:
     """The element of Q -> a*Q, or of Q -> Q*a when right."""
-    x, den = hamilton_matrix(a, right)
-    return GroupElement._wrap(*_canonical(_int_array(x, (4, 4, 2)), den), a.kappa)
-
-
-def _quaternion_conjugation_matrix() -> GroupElement:
-    return GroupElement(
-        [(1 if i == 0 else -1) if i == j else 0 for j in range(4)]
-        for i in range(4)
-    )
+    units = _unit_vectors(4, a.kappa, GoldenQuaternion)
+    return GroupElement.from_columns(
+        qmul(e, a) if right else qmul(a, e) for e in units)
 
 
 def enumerate_h4_quaternion_maps():
@@ -317,7 +325,6 @@ def enumerate_h4_quaternion_maps():
 
     units = unit_icosians()
     right_arrs = np.stack([_quaternion_map(u, right=True).numerators for u in units])
-    conj = _quaternion_conjugation_matrix().numerators
     seen = set()
     raw = 0
     for u in units:
@@ -325,7 +332,9 @@ def enumerate_h4_quaternion_maps():
         # left- and right-multiplication matrices commute, so the batch
         # runs over right factors with a fixed trailing left factor
         prods = kernels.quad_matmul_batch(right_arrs, left, 5)
-        conj_prods = kernels.quad_matmul_batch(prods, conj, 5)
+        # Q -> conj(Q) negates the columns of e_1, e_2, e_3
+        conj_prods = prods.copy()
+        conj_prods[:, :, 1:] *= -1
         raw += 2 * prods.shape[0]
         seen.update(_byte_rows(prods))
         seen.update(_byte_rows(conj_prods))

@@ -17,38 +17,31 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .ring import DomainError, QuadraticRingElement, fundamental_unit, golden, radicand, tau
+from .ring import DomainError, QuadraticRingElement, fundamental_unit, radicand, tau
 from .roots import H3, H4, I2, RootSystemId, roots
 from .textio import format_element
 from .vectors import ExactVector
 
-QL_NAMES = (
-    "I2-5", "I2-8", "I2-12",
-    "H3-primitive", "H3-fcc", "H3-bcc",
-    "H4",
-)
 
-_CONSTRAINTS = {
-    "I2-5": "unrestricted",
-    "I2-8": "unrestricted",
-    "I2-12": "unrestricted",
-    "H3-primitive": "unrestricted",
-    "H3-fcc": "even-sum",
-    "H3-bcc": "all-int-or-all-half",
-    "H4": "h4-parity",
+class _Quasilattice(NamedTuple):
+    system: RootSystemId
+    constraint: str     # the paper's coefficient rule on frame coefficients
+    least_power: int    # Table 1: least power of the fundamental unit keeping it
+
+
+_QUASILATTICES = {
+    "I2-5": _Quasilattice(I2(5), "unrestricted", 1),
+    "I2-8": _Quasilattice(I2(8), "unrestricted", 1),
+    "I2-12": _Quasilattice(I2(12), "unrestricted", 1),
+    "H3-primitive": _Quasilattice(H3, "unrestricted", 3),
+    "H3-fcc": _Quasilattice(H3, "even-sum", 1),
+    "H3-bcc": _Quasilattice(H3, "all-int-or-all-half", 1),
+    "H4": _Quasilattice(H4, "h4-parity", 1),
 }
 
-_SYSTEMS = {
-    "I2-5": I2(5),
-    "I2-8": I2(8),
-    "I2-12": I2(12),
-    "H3-primitive": H3,
-    "H3-fcc": H3,
-    "H3-bcc": H3,
-    "H4": H4,
-}
+QL_NAMES = tuple(_QUASILATTICES)
 
 
 def parse_ql_name(text: str) -> str:
@@ -95,8 +88,7 @@ class QLModule:
 
     def __init__(self, name: str):
         self.name = name
-        self.system: RootSystemId = _SYSTEMS[name]
-        self.constraint = _CONSTRAINTS[name]
+        self.system, self.constraint, _ = _QUASILATTICES[name]
         self.dim = self.system.rank
         self.rank = 2 * self.dim
         self.frame = _frame(name)
@@ -234,7 +226,7 @@ def _frame(name: str) -> list[ExactVector]:
                 frame.append(ExactVector(coords))
         return frame
     # 2D rows: first four powers of the relevant root of unity
-    system = _SYSTEMS[name]
+    system = _QUASILATTICES[name].system
     from .roots import _i2_params, _zeta_powers
 
     m, c, k = _i2_params(system)
@@ -250,7 +242,7 @@ def _member_basis_coeffs(name: str, frame_cols, frame_den: int
     """Frame coefficients of the member basis: integer rows over a
     denominator."""
     r = len(frame_cols)
-    if _CONSTRAINTS[name] == "unrestricted":
+    if _QUASILATTICES[name].constraint == "unrestricted":
         return [[int(i == j) for j in range(r)] for i in range(r)], 1
     if name == "H3-fcc":
         rows = [[0] * 6 for _ in range(6)]
@@ -384,16 +376,11 @@ def residue_is_golden_multiple_of_root(r: H4Residue) -> bool:
     if r not in enumerate_h4_residues():
         raise DomainError("residue class is not allowed")
     rep = residue_representative(r)
-    if rep.is_zero():
-        return True
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            g = golden(a, b)
-            if not g:
-                continue
-            for root in roots(H4):
-                if root.scale(g) == rep:
-                    return True
+    # the roots have norm 1, so rep = g * root forces g = <rep, root>
+    for root in roots(H4):
+        g = rep.dot(root)
+        if g.is_ring_integer() and root.scale(g) == rep:
+            return True
     return False
 
 
@@ -425,18 +412,6 @@ def scale_classification(qlm: QLModule, factor: QuadraticRingElement,
     if power == 0 or (period and power % period == 0):
         return ScaleClassification("invariant", index=1)
     return ScaleClassification("not-closed")
-
-
-_TABLE1 = {
-    # name -> expected minimal power of the fundamental unit keeping the module
-    "I2-5": 1,
-    "I2-8": 1,
-    "I2-12": 1,
-    "H3-primitive": 3,
-    "H3-fcc": 1,
-    "H3-bcc": 1,
-    "H4": 1,
-}
 
 
 @dataclass(frozen=True)
@@ -482,7 +457,7 @@ def verify_table1() -> Table1Report:
     fundamental unit."""
     rows = []
     for name in QL_NAMES:
-        qlm, expected_power = ql(name), _TABLE1[name]
+        qlm, expected_power = ql(name), _QUASILATTICES[name].least_power
         u = fundamental_unit(qlm.kappa).unit
         minimal = _scale_period(qlm, u)
         ok = minimal == expected_power

@@ -72,18 +72,6 @@ def qmul(a: GoldenQuaternion, b: GoldenQuaternion) -> GoldenQuaternion:
     return GoldenQuaternion.from_numerators(x, da * db, kappa)
 
 
-def _hamilton(a, b):
-    """Hamilton product of two integer 4-tuples (w, x, y, z)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
 def qconj(a: GoldenQuaternion) -> GoldenQuaternion:
     pw, px, py, pz, qw, qx, qy, qz = a.form
     return GoldenQuaternion.from_numerators((pw, -px, -py, -pz, qw, -qx, -qy, -qz),
@@ -106,24 +94,6 @@ def is_in_icosian_ring(q: GoldenQuaternion) -> bool:
     from .modules import membership, ql
 
     return membership(ql("H4"), q).member
-
-
-_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
-def hamilton_matrix(a: GoldenQuaternion, right: bool = False) -> tuple[list[int], int]:
-    """(x, den): the matrix of Q -> a*Q, or of Q -> Q*a when right, on
-    (w,x,y,z) columns, as the row-major numerators of a (4, 4, 2) array
-    over den; entry (i, j) is (x[8i+2j] + x[8i+2j+1]*sqrt(kappa))/den.
-
-    Column j is the product with e_j, which is integral, so the
-    sqrt(kappa) parts of a's integer form stay apart.
-    """
-    x, den = a.numerators()
-    product = (lambda u, e: _hamilton(e, u)) if right else _hamilton
-    p = [product(x[:4], e) for e in _UNITS]
-    q = [product(x[4:], e) for e in _UNITS]
-    return [v for i in range(4) for j in range(4) for v in (p[j][i], q[j][i])], den
 
 
 def require_unit(q: GoldenQuaternion) -> None:

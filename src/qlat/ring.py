@@ -29,6 +29,20 @@ def radicand(kappa: int, irrational: bool, other: int, other_irrational: bool) -
     return other
 
 
+def common_radicand(operands) -> int:
+    """The radicand of a result of several operands, each given as
+    (kappa, irrational): radicand folded over them in order, 5 when there
+    are none."""
+    kappa, irrational = None, False
+    for k, irr in operands:
+        if kappa is None:
+            kappa = k
+        elif k != kappa:
+            kappa = radicand(kappa, irrational, k, irr)
+        irrational = irrational or irr
+    return 5 if kappa is None else kappa
+
+
 def _squarefree(n: int) -> bool:
     if n < 1:
         return False

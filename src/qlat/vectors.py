@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .ring import DomainError, QuadraticRingElement, radicand
+from .ring import DomainError, QuadraticRingElement, common_radicand, radicand
 
 Gram = Optional[Sequence[Sequence[QuadraticRingElement]]]
 
@@ -36,11 +36,7 @@ class ExactVector:
             c if isinstance(c, QuadraticRingElement) else QuadraticRingElement.rational(c)
             for c in coords
         )
-        kappa, irrational = cells[0].kappa if cells else 5, False
-        for c in cells:
-            if c.kappa != kappa:
-                kappa = radicand(kappa, irrational, c.kappa, c.q != 0)
-            irrational = irrational or c.q != 0
+        kappa = common_radicand((c.kappa, c.q != 0) for c in cells)
         den = lcm(*(c.den for c in cells))
         self.form = tuple([c.p * (den // c.den) for c in cells]
                           + [c.q * (den // c.den) for c in cells])

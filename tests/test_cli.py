@@ -317,15 +317,20 @@ def test_member_refuses_coefficients_over_the_digit_limit(capsys, fmt):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+_HEADER = ("# target,H3-bcc,window,cell,scale,1.0,radius,3.0\n"
+           "x0,x1,x2,exact0,exact1,exact2,c0,c1,c2,c3,c4,c5\n")
+
+
 @pytest.mark.parametrize("content,line", [
     ("", 0),
-    ("# target,H3-bcc,window,cell,scale,1.0,radius,3.0\n"
-     "x0,x1,x2,exact0,exact1,exact2,c0,c1,c2,c3,c4,c5\n"
-     "0,0,abc,0,0,0,0,0,0,0,0,0\n", 3),
-], ids=["empty", "bad-row"])
+    (_HEADER + "0,0,abc,0,0,0,0,0,0,0,0,0\n", 3),
+    (_HEADER.encode() + b"0,0,\xff,0,0,0,0,0,0,0,0,0\n", 3),
+    (b"\xc3\x28" + _HEADER.encode(), 1),
+    (_HEADER + "0," + "1" * 140_000 + "\n", 3),
+], ids=["empty", "bad-row", "not-utf8", "not-utf8-first-byte", "over-long-field"])
 def test_diffract_rejects_malformed_patch_file(capsys, tmp_path, content, line):
     patch = tmp_path / "patch.csv"
-    patch.write_text(content)
+    patch.write_bytes(content if isinstance(content, bytes) else content.encode())
     klist = tmp_path / "k.json"
     klist.write_text("[[0, 0, 0]]")
     code = main(["diffract", "--in", str(patch), "--k-list", str(klist),
@@ -389,3 +394,95 @@ def test_project_h4_cell_window_names_the_ball_window(capsys, tmp_path):
     assert captured.err.startswith("error:") and "--window ball" in captured.err
     assert captured.err.count("\n") == 1
     assert not path.exists()
+
+
+def test_diffract_refuses_a_deeply_nested_k_list(capsys, tmp_path):
+    patch = _patch_file(capsys, tmp_path)
+    klist = tmp_path / "k.json"
+    klist.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["diffract", "--in", str(patch), "--k-list", str(klist),
+                 "--out", str(tmp_path / "i.csv")])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {klist}: expected a JSON list of 3-component")
+    assert captured.err.count("\n") == 1
+
+
+# -- bad arguments, verb by verb ------------------------------------------
+#
+# Each case is the argv of one verb; "{tmp}" stands for a scratch directory
+# that holds a good H3-bcc patch "patch.csv", the k-list "k.json" and any
+# files the case names.  Oversized requests are ones refused before any work.
+
+_DIFFRACT = ["diffract", "--in", "{tmp}/patch.csv", "--k-list", "{tmp}/k.json",
+             "--out", "{tmp}/i.csv"]
+
+BAD_ARGUMENTS = {
+    "roots-empty": (["roots", "--system", ""], {}),
+    "roots-huge": (["roots", "--system", "I2-" + "9" * 5000], {}),
+    "roots-nan": (["roots", "--system", "I2-nan"], {}),
+    "roots-oversized": (["roots", "--system", "I2-50001"], {}),
+    "group-empty": (["group", "--system", ""], {}),
+    "group-wrong-ring": (["group", "--system", "I2-7"], {}),
+    "group-huge": (["group", "--system", "I2-100000"], {}),
+    "icosians-format": (["icosians", "--format", "xml"], {}),
+    "member-huge": (["member", "--ql", "H4", "--vector", "1" * 5000 + ",0,0,0"], {}),
+    "member-nan": (["member", "--ql", "H4", "--vector", "nan,0,0,0"], {}),
+    "member-empty": (["member", "--ql", "H4", "--vector", ""], {}),
+    "member-wrong-length": (["member", "--ql", "H4", "--vector", "1,2"], {}),
+    "member-wrong-ring": (["member", "--ql", "I2-7", "--vector", "1,0"], {}),
+    "residues-format": (["residues", "--format", "xml"], {}),
+    "scale-huge-factor": (["scale", "--ql", "H4", "--factor", "1" * 5000 + "t"], {}),
+    "scale-huge-power": (["scale", "--ql", "H4", "--power", "9" * 5000], {}),
+    "scale-nan-factor": (["scale", "--ql", "H4", "--factor", "nan"], {}),
+    "scale-nan-power": (["scale", "--ql", "H4", "--power", "nan"], {}),
+    "scale-empty-factor": (["scale", "--ql", "H4", "--factor", ""], {}),
+    "scale-wrong-ring": (["scale", "--ql", "H4", "--factor", "2"], {}),
+    "verify-nothing": (["verify"], {}),
+    "verify-format": (["verify", "--table1", "--format", "xml"], {}),
+    "project-huge": (["project", "--target", "H3-bcc", "--radius", "1e400",
+                      "--out", "{tmp}/x.csv"], {}),
+    "project-nan": (["project", "--target", "H3-bcc", "--radius", "nan",
+                     "--out", "{tmp}/x.csv"], {}),
+    "project-empty": (["project", "--target", "", "--radius", "5",
+                       "--out", "{tmp}/x.csv"], {}),
+    "project-wrong-ring": (["project", "--target", "I2-8", "--radius", "4",
+                            "--out", "{tmp}/x.csv"], {}),
+    "project-oversized": (["project", "--target", "H4", "--window", "ball",
+                           "--radius", "1e4", "--out", "{tmp}/x.csv"], {}),
+    "diffract-not-utf8": (_DIFFRACT, {"patch.csv": _HEADER.encode() + b"\xff\n"}),
+    "diffract-long-field": (_DIFFRACT,
+                            {"patch.csv": _HEADER.encode() + b"1" * 140_000}),
+    "diffract-nested-k": (_DIFFRACT, {"k.json": b"[" * 100_000 + b"]" * 100_000}),
+    "diffract-nan-k": (_DIFFRACT, {"k.json": b"[[0, NaN, 0]]"}),
+    "diffract-empty-k": (_DIFFRACT, {"k.json": b""}),
+    "diffract-wrong-length-k": (_DIFFRACT, {"k.json": b"[[1, 2]]"}),
+    "diffract-empty-patch": (_DIFFRACT, {"patch.csv": b""}),
+    "diffract-missing-patch": (["diffract", "--in", "{tmp}/none.csv", "--k-list",
+                                "{tmp}/k.json", "--out", "{tmp}/i.csv"], {}),
+}
+
+
+def test_bad_arguments_cover_every_verb():
+    from qlat.cli import build_parser
+
+    verbs = next(a.choices for a in build_parser()._actions if a.dest == "verb")
+    assert {argv[0] for argv, _ in BAD_ARGUMENTS.values()} == set(verbs)
+
+
+@pytest.mark.parametrize("argv,files", BAD_ARGUMENTS.values(), ids=list(BAD_ARGUMENTS))
+def test_bad_arguments_end_in_one_line(capsys, tmp_path, argv, files):
+    if argv[0] == "diffract":
+        _patch_file(capsys, tmp_path)
+        (tmp_path / "k.json").write_text("[[0, 0, 0]]")
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    try:
+        code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    except SystemExit as exc:    # a usage error from argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (1, 2) and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "i.csv").exists()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracle import object_apply, object_matmul
+from exact_oracle import object_apply, object_matmul, object_qmul
 from qlat import groups, kernels
 from qlat.groups import (
     GroupElement,
@@ -21,7 +21,7 @@ from qlat.groups import (
     reflection_matrix,
 )
 from qlat.modules import ql
-from qlat.quaternions import unit_icosians
+from qlat.quaternions import GoldenQuaternion, unit_icosians
 from qlat.ring import DomainError, QuadraticRingElement, tau
 from qlat.roots import H3, H4, I2, gram, kappa_of, roots, simple_roots
 from qlat.vectors import ExactVector, reflect
@@ -139,6 +139,31 @@ def test_quaternion_pair_map_lands_in_the_group():
             m = h4_element_from_quaternions(q1, q2, conjugating=conj)
             assert m in group
             assert m.is_orthogonal()
+
+
+def _object_conj(q):
+    return GoldenQuaternion(q.w, -q.x, -q.y, -q.z)
+
+
+@pytest.mark.parametrize("conjugating", [False, True])
+def test_quaternion_pair_map_matches_object_products(conjugating):
+    # the matrix of Q -> conj(q1) Q q2 (or conj(q1) conj(Q) q2) against the
+    # object products, column by column and on a quaternion off the units
+    units = unit_icosians()
+    rng = random.Random(21)
+    basis = [GoldenQuaternion(*(int(i == j) for j in range(4))) for i in range(4)]
+    for _ in range(25):
+        q1, q2, a, b = (rng.choice(units) for _ in range(4))
+        m = h4_element_from_quaternions(q1, q2, conjugating)
+
+        def image(q):
+            return object_qmul(object_qmul(
+                _object_conj(q1), _object_conj(q) if conjugating else q), q2)
+
+        for j, e in enumerate(basis):
+            assert GoldenQuaternion(*(row[j] for row in m.entries)) == image(e)
+        q = a + b.scale(tau())
+        assert m.apply(q) == image(q)
 
 
 def test_quaternion_parameterization_is_two_to_one():
@@ -346,6 +371,32 @@ def test_generate_redoes_the_closure_after_cache_clear(monkeypatch):
     second = generate(H3)
     assert len(calls) == 1 and second is not first
     assert second.compact_byte_set() == first.compact_byte_set()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(2, 4), kappa=st.sampled_from([2, 3, 5]))
+def test_from_columns_puts_each_vector_in_its_column(data, d, kappa):
+    cell = st.builds(lambda p, q, den: _entry(p, q, kappa, den),
+                     st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 8))
+    columns = data.draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                                 min_size=d, max_size=d))
+    m = GroupElement.from_columns(ExactVector(col) for col in columns)
+    assert m.entries == tuple(zip(*columns))
+    assert m == GroupElement(zip(*columns)) and m.den % 4 == 0
+
+
+def test_from_columns_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(DomainError, match="2x2"):
+        GroupElement.from_columns([ExactVector((1, 0, 0)), ExactVector((0, 1, 0))])
+
+
+@pytest.mark.parametrize("system", [I2(5), H3], ids=str)
+def test_is_orthogonal_refuses_a_stretch(system):
+    d, g = system.rank, gram(system)
+    stretch = GroupElement([[2 if i == j == 0 else int(i == j) for j in range(d)]
+                            for i in range(d)])
+    assert not stretch.is_orthogonal(g) and not stretch.is_orthogonal()
+    assert identity_element(d).is_orthogonal(g)
 
 
 def test_closure_refuses_a_generator_off_the_quarter_integers():

@@ -71,6 +71,8 @@ ENTRY_POINTS = {
     "ExactVector +": (lambda a, b: (_vector(*a) + _vector(*b)).kappa, True),
     "ExactVector.scale": (lambda a, b: _vector(*a).scale(_number(*b)).kappa, True),
     "GroupElement @": (lambda a, b: (_matrix(*a) @ _matrix(*b)).kappa, True),
+    "GroupElement.from_columns": (
+        lambda a, b: GroupElement.from_columns((_vector(*a), _vector(*b))).kappa, True),
     "GroupElement.apply": (lambda a, b: _matrix(*a).apply(_vector(*b)).kappa, True),
     "orbit": (_orbit, True),
     "qmul": (lambda a, b: qmul(_quaternion(*a), _quaternion(*b)).kappa, True),
