@@ -1,7 +1,8 @@
 """Time the three numpy kernels, the integer-backed group and quaternion
 paths, exact vector and ring arithmetic, reflection matrices, the cold
-build of the seven modules, the scalar module coordinates and the patch
-path (generate, exact points, write, read).
+build of the six exact root systems and of the seven modules, the scalar
+module coordinates and the patch path (generate, exact points, write,
+read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
@@ -150,6 +151,21 @@ def bench_membership(name):
     return f"membership({name}), 1000 members", lambda: [membership(qlm, v) for v in vs]
 
 
+def bench_root_build():
+    """roots and simple_roots of the six exact systems built afresh: the
+    simple roots and their closure under the simple reflections."""
+    from qlat.roots import H3, H4, I2, roots, simple_roots
+
+    systems = (I2(5), I2(8), I2(10), I2(12), H3, H4)
+
+    def cold():
+        roots.cache_clear()
+        simple_roots.cache_clear()
+        return [(roots(s), simple_roots(s)) for s in systems]
+
+    return "roots + simple_roots, six systems, cold", cold
+
+
 def bench_module_build():
     """The seven QLModules built afresh: frames, member bases and the
     integer inverses of those bases."""
@@ -214,7 +230,7 @@ def main():
         bench_orbit_h4, bench_quaternion_maps, bench_quaternion_map_builds,
         bench_apply_h4, bench_icosian_products,
         partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
-        bench_module_build, bench_from_basis_coefficients_h4)]
+        bench_root_build, bench_module_build, bench_from_basis_coefficients_h4)]
     benches += bench_vector_arithmetic()
     benches += bench_ring_arithmetic()
     benches += bench_reflection_matrices()

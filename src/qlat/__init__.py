@@ -52,7 +52,6 @@ from .ring import (
     QuadraticRingElement,
     fundamental_unit,
     golden,
-    golden_parts,
     tau,
     totient,
 )

@@ -10,9 +10,9 @@ import sys
 
 import numpy as np
 
-from . import cutproject, groups, modules, quaternions, textio
+from . import cutproject, groups, kernels, modules, quaternions, textio
 from .ring import DomainError, fundamental_unit
-from .roots import RootSystemId, is_quadratic, root_count_decomposition, roots
+from .roots import RootSystemId, is_quadratic, root_count, roots
 
 
 def _emit(args, payload, text_lines):
@@ -26,7 +26,7 @@ def _emit(args, payload, text_lines):
 def cmd_roots(args):
     system = RootSystemId.parse(args.system)
     if args.count:
-        count = sum(root_count_decomposition(system))
+        count = root_count(system)
         _emit(args, {"system": str(system), "count": count}, [str(count)])
         return 0
     rs = roots(system)
@@ -192,9 +192,7 @@ def _read_k_list(path: str, dim: int) -> np.ndarray:
 def cmd_diffract(args):
     patch = cutproject.read_patch_csv(args.infile)
     ks = _read_k_list(args.k_list, patch.points.shape[1])
-    from .kernels import structure_factor_sum
-
-    intensities = structure_factor_sum(patch.points, ks)
+    intensities = kernels.structure_factor_sum(patch.points, ks)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

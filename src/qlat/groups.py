@@ -23,7 +23,7 @@ from operator import mul
 import numpy as np
 
 from . import kernels
-from .quaternions import GoldenQuaternion, qconj, qmul, require_unit
+from .quaternions import GoldenQuaternion, qconj, qmul, require_unit, unit_icosians
 from .ring import DomainError, QuadraticRingElement, common_radicand, radicand
 from .roots import RootSystemId, gram, is_quadratic, kappa_of, simple_roots
 from .vectors import ExactVector, reflect
@@ -188,9 +188,9 @@ def _operand(numerators: np.ndarray, kappa: int, v: ExactVector):
 
 
 @lru_cache(maxsize=None)
-def _unit_vectors(d: int, kappa: int, cls=ExactVector) -> tuple:
-    """The unit vectors e_1, ..., e_d over sqrt(kappa), of type cls."""
-    return tuple(cls.from_numerators([int(i == j) for i in range(2 * d)], 1, kappa)
+def _unit_vectors(d: int, kappa: int) -> tuple:
+    """The unit vectors e_1, ..., e_d over sqrt(kappa)."""
+    return tuple(ExactVector.from_numerators([int(i == j) for i in range(2 * d)], 1, kappa)
                  for j in range(d))
 
 
@@ -303,14 +303,14 @@ def h4_element_from_quaternions(
     require_unit(q1)
     require_unit(q2)
     c1 = qconj(q1)
-    units = _unit_vectors(4, q1.kappa, GoldenQuaternion)
+    units = _unit_vectors(4, q1.kappa)
     return GroupElement.from_columns(
         qmul(qmul(c1, qconj(e) if conjugating else e), q2) for e in units)
 
 
 def _quaternion_map(a: GoldenQuaternion, right: bool = False) -> GroupElement:
     """The element of Q -> a*Q, or of Q -> Q*a when right."""
-    units = _unit_vectors(4, a.kappa, GoldenQuaternion)
+    units = _unit_vectors(4, a.kappa)
     return GroupElement.from_columns(
         qmul(e, a) if right else qmul(a, e) for e in units)
 
@@ -321,8 +321,6 @@ def enumerate_h4_quaternion_maps():
     Returns (raw_parameterization_count, frozenset of the numerator bytes
     of the distinct matrices).
     """
-    from .quaternions import unit_icosians
-
     units = unit_icosians()
     right_arrs = np.stack([_quaternion_map(u, right=True).numerators for u in units])
     seen = set()

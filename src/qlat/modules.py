@@ -20,7 +20,7 @@ from operator import mul
 from typing import NamedTuple, Optional
 
 from .ring import DomainError, QuadraticRingElement, fundamental_unit, radicand, tau
-from .roots import H3, H4, I2, RootSystemId, roots
+from .roots import H3, H4, I2, RootSystemId, _i2_params, _zeta_powers, roots
 from .textio import format_element
 from .vectors import ExactVector
 
@@ -226,10 +226,7 @@ def _frame(name: str) -> list[ExactVector]:
                 frame.append(ExactVector(coords))
         return frame
     # 2D rows: first four powers of the relevant root of unity
-    system = _QUASILATTICES[name].system
-    from .roots import _i2_params, _zeta_powers
-
-    m, c, k = _i2_params(system)
+    m, c, k = _i2_params(_QUASILATTICES[name].system)
     powers = _zeta_powers(m, c, k)
     if name == "I2-5":
         # Z[zeta_5] basis: zeta_5^j = zeta_10^(2j)

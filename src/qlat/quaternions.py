@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import modules
 from .ring import DomainError, QuadraticRingElement
 from .roots import H4, roots
 from .vectors import ExactVector
@@ -91,9 +92,7 @@ def unit_icosians() -> tuple[GoldenQuaternion, ...]:
 
 def is_in_icosian_ring(q: GoldenQuaternion) -> bool:
     """True iff q lies in the integer span of the unit icosians."""
-    from .modules import membership, ql
-
-    return membership(ql("H4"), q).member
+    return modules.membership(modules.ql("H4"), q).member
 
 
 def require_unit(q: GoldenQuaternion) -> None:

@@ -274,14 +274,6 @@ def golden(m: int, n: int) -> QuadraticRingElement:
     return QuadraticRingElement(2 * m + n, n, 5, 2)
 
 
-def golden_parts(x: QuadraticRingElement) -> tuple[Fraction, Fraction]:
-    """(m, n) with value m + n*tau; requires kappa = 5."""
-    if x.q != 0 and x.kappa != 5:
-        raise DomainError("golden_parts needs kappa = 5")
-    a, b = x.as_fractions()
-    return a - b, 2 * b
-
-
 @dataclass(frozen=True)
 class FundamentalUnitResult:
     unit: QuadraticRingElement

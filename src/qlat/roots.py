@@ -1,11 +1,12 @@
 """The non-crystallographic root systems I2(n), H3 and H4.
 
-H3 and H4 use exact Cartesian golden coordinates.  The 2D systems are
-exact for n in {5, 8, 10, 12}: their roots are written in the oblique
-basis {1, zeta} (zeta a primitive root of unity), where all coordinates
-lie in a real quadratic ring and the Gram matrix [[1, c/2], [c/2, 1]]
-with c = 2*cos(angle) makes inner products exact.  Other I2(n) are
-emitted as float vectors only.
+An exact system is given by its simple roots alone: its roots are their
+closure under the simple reflections.  H3 and H4 use exact Cartesian
+golden coordinates.  The 2D systems are exact for n in {5, 8, 10, 12}:
+their roots are written in the oblique basis {1, zeta} (zeta a primitive
+root of unity), where all coordinates lie in a real quadratic ring and
+the Gram matrix [[1, c/2], [c/2, 1]] with c = 2*cos(angle) makes inner
+products exact.  Other I2(n) are emitted as float vectors only.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ QUADRATIC_I2 = {5: 5, 8: 2, 10: 5, 12: 3}
 #: The most float roots roots() builds for a non-quadratic I2(n).
 MAX_FLOAT_ROOTS = 100_000
 
-_EVEN_PERMS_3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _EVEN_PERMS_4 = (
     (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2),
     (1, 0, 3, 2), (1, 2, 0, 3), (1, 3, 2, 0),
@@ -124,93 +123,76 @@ def gram(system: RootSystemId):
     return ((one, half_c), (half_c, one))
 
 
-def basis_matrix_float(system: RootSystemId) -> Optional[np.ndarray]:
-    """Columns of the oblique basis {1, zeta} in the Euclidean plane."""
-    if system.family in ("H3", "H4"):
-        return None
-    m, _, _ = _i2_params(system)
-    theta = 2 * math.pi / m
-    return np.array([[1.0, math.cos(theta)], [0.0, math.sin(theta)]])
+@lru_cache(maxsize=None)
+def simple_roots(system: RootSystemId) -> list[ExactVector]:
+    """d roots whose reflections generate the full group.
 
-
-def embed_float(system: RootSystemId, v: ExactVector) -> np.ndarray:
-    """Euclidean float coordinates of an exact vector of this system."""
-    b = basis_matrix_float(system)
-    x = v.to_floats()
-    return x if b is None else b @ x
-
-
-def _signed_even_perms(pattern, perms):
-    out = set()
-    nonzero = [i for i, c in enumerate(pattern) if c]
-    for perm in perms:
-        base = [pattern[i] for i in perm]
-        for signs in product((1, -1), repeat=len(nonzero)):
-            it = iter(signs)
-            vec = tuple(c * next(it) if c else c for c in base)
-            out.add(vec)
-    return out
+    H3 and H4: golden coordinates, numbered along the Coxeter diagram 5-3
+    or 5-3-3.  I2(n): the oblique basis vectors 1 and zeta for odd n, 1
+    and 1 + zeta for even n.
+    """
+    if system.family == "I2":
+        k = kappa_of(system)
+        one = ExactVector.from_numerators((1, 0, 0, 0), 1, k)
+        zeta = ExactVector.from_numerators((0, 1, 0, 0), 1, k)
+        return [one, zeta] if system.n % 2 == 1 else [one, one + zeta]
+    t, half = tau(), QuadraticRingElement(1, 0, 5, 2)
+    a, b = t * half, (t - 1) * half
+    if system.family == "H3":
+        rows = ((-1, 0, 0), (a, -half, b), (0, 1, 0))
+    else:
+        rows = ((-1, 0, 0, 0), (a, -half, 0, b), (0, a, -half, -b), (0, 0, 1, 0))
+    return [ExactVector(r) for r in rows]
 
 
 @lru_cache(maxsize=None)
 def roots(system: RootSystemId):
     """All roots, exact where the coordinate ring is quadratic.
 
-    H3: 30 vectors; H4: 120; I2(n): 2n.  Non-quadratic I2(n) come back
-    as a list of float numpy arrays.
+    H3: 30 vectors; H4: 120; I2(n): 2n.  Exact roots are the closure of
+    the simple roots under their reflections, in sort_key order.
+    Non-quadratic I2(n) come back as a list of float numpy arrays.
     """
-    if system.family == "H3":
-        one = QuadraticRingElement(1)
-        zero = QuadraticRingElement(0)
-        t = tau()
-        half = QuadraticRingElement(1, 0, 5, 2)
-        vecs = _signed_even_perms((one, zero, zero), _EVEN_PERMS_3)
-        vecs |= _signed_even_perms(
-            (t * half, half, (t - 1) * half), _EVEN_PERMS_3
-        )
-        out = [ExactVector(v) for v in vecs]
-    elif system.family == "H4":
-        one = QuadraticRingElement(1)
-        zero = QuadraticRingElement(0)
-        t = tau()
-        half = QuadraticRingElement(1, 0, 5, 2)
-        vecs = _signed_even_perms((one, zero, zero, zero), _EVEN_PERMS_4)
-        vecs |= _signed_even_perms((half, half, half, half), _EVEN_PERMS_4)
-        vecs |= _signed_even_perms(
-            (zero, t * half, half, (t - 1) * half), _EVEN_PERMS_4
-        )
-        out = [ExactVector(v) for v in vecs]
-    elif system.n in QUADRATIC_I2:
-        m, c, k = _i2_params(system)
-        powers = _zeta_powers(m, c, k)
-        if system.n % 2 == 1:
-            out = list(powers)
-        else:
-            out = list(powers) + [
-                powers[i] + powers[(i + 1) % m] for i in range(m)
-            ]
-    else:
-        n = system.n
-        if 2 * n > MAX_FLOAT_ROOTS:
-            raise DomainError(f"{system} has {2 * n} roots, over the limit of "
-                              f"{MAX_FLOAT_ROOTS} float roots")
-        angles = (
-            [math.pi * k / n for k in range(2 * n)]
-            if n % 2 == 1
-            else [2 * math.pi * k / n for k in range(n)]
-        )
-        out = [np.array([math.cos(a), math.sin(a)]) for a in angles]
-        if n % 2 == 0:
-            out += [
-                np.array([
-                    math.cos(2 * math.pi * k / n) + math.cos(2 * math.pi * (k + 1) / n),
-                    math.sin(2 * math.pi * k / n) + math.sin(2 * math.pi * (k + 1) / n),
-                ])
-                for k in range(n)
-            ]
-        return out
-    out.sort(key=lambda v: v.sort_key())
+    if is_quadratic(system):
+        g = gram(system)
+        simple = simple_roots(system)
+        # vectors.reflect, v -> v - <v, a> c a, with c = 2/<a, a> taken once
+        mirrors = [(a, 2 / a.dot(a, g)) for a in simple]
+        found = list(simple)
+        seen = set(found)
+        for v in found:  # found grows as it is read: a breadth-first closure
+            for a, c in mirrors:
+                w = v - a.scale(v.dot(a, g) * c)
+                if w not in seen:
+                    seen.add(w)
+                    found.append(w)
+        return sorted(found, key=ExactVector.sort_key)
+    n = system.n
+    if 2 * n > MAX_FLOAT_ROOTS:
+        raise DomainError(f"{system} has {2 * n} roots, over the limit of "
+                          f"{MAX_FLOAT_ROOTS} float roots")
+    angles = (
+        [math.pi * k / n for k in range(2 * n)]
+        if n % 2 == 1
+        else [2 * math.pi * k / n for k in range(n)]
+    )
+    out = [np.array([math.cos(a), math.sin(a)]) for a in angles]
+    if n % 2 == 0:
+        out += [
+            np.array([
+                math.cos(2 * math.pi * k / n) + math.cos(2 * math.pi * (k + 1) / n),
+                math.sin(2 * math.pi * k / n) + math.sin(2 * math.pi * (k + 1) / n),
+            ])
+            for k in range(n)
+        ]
     return out
+
+
+def root_count(system: RootSystemId) -> int:
+    """The number of roots, without building them."""
+    if system.family == "I2":
+        return 2 * system.n
+    return {"H3": 30, "H4": 120}[system.family]
 
 
 def _zeta_powers(m: int, c: QuadraticRingElement, k: int):
@@ -222,62 +204,3 @@ def _zeta_powers(m: int, c: QuadraticRingElement, k: int):
         prev, cur = powers[-2], powers[-1]
         powers.append(cur.scale(c) - prev)
     return powers
-
-
-@lru_cache(maxsize=None)
-def simple_roots(system: RootSystemId):
-    """d roots whose reflections generate the full group.
-
-    Chosen by exact Coxeter-diagram angles (first match in sorted root
-    order); validated against the generated group order in the tests.
-    """
-    if system.family == "I2":
-        m, c, k = _i2_params(system)
-        powers = _zeta_powers(m, c, k)
-        if system.n % 2 == 1:
-            return [powers[0], powers[1]]
-        return [powers[0], powers[0] + powers[1]]
-
-    rs = roots(system)
-    g = gram(system)
-    t = tau()
-    half = QuadraticRingElement(1, 0, 5, 2)
-    m_angle = {5: -(t * half), 3: -half, 2: QuadraticRingElement(0)}
-    if system.family == "H3":
-        diagram = {(0, 1): 5, (1, 2): 3, (0, 2): 2}
-        d = 3
-    else:
-        diagram = {(0, 1): 5, (1, 2): 3, (2, 3): 3,
-                   (0, 2): 2, (0, 3): 2, (1, 3): 2}
-        d = 4
-
-    chosen: list[ExactVector] = []
-
-    def extend(depth: int) -> bool:
-        if depth == d:
-            return True
-        for r in rs:
-            ok = all(
-                chosen[i].dot(r, g) == m_angle[diagram[(i, depth)]]
-                for i in range(depth)
-            )
-            if ok:
-                chosen.append(r)
-                if extend(depth + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not extend(0):
-        raise DomainError(f"no simple system found for {system}")
-    return list(chosen)
-
-
-def root_count_decomposition(system: RootSystemId) -> tuple[int, ...]:
-    """Sizes of the sign/permutation families making up the root list."""
-    if system.family == "H3":
-        return (6, 24)
-    if system.family == "H4":
-        return (8, 16, 96)
-    n = system.n
-    return (2 * n,) if n % 2 == 1 else (n, n)

@@ -6,15 +6,45 @@ quasilattice membership on integer numerators and classifies rescalings
 by a period; these are the same operations written entry by entry with
 QuadraticRingElement and Fraction, inverses and frame coefficients by
 determinants, membership by the paper's four coefficient rules, and
-rescaling power by power.
+rescaling power by power.  The H3 and H4 roots are the paper's explicit
+lists of signed even permutations.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from qlat.quaternions import GoldenQuaternion
-from qlat.ring import QuadraticRingElement
+from qlat.ring import QuadraticRingElement, tau
 from qlat.roots import _EVEN_PERMS_4
 from qlat.vectors import ExactVector
+
+
+_EVEN_PERMS_3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _signed_even_perms(pattern, perms) -> set:
+    """Every even permutation of pattern, under every choice of signs."""
+    out = set()
+    for perm in perms:
+        base = [pattern[i] for i in perm]
+        for signs in product((1, -1), repeat=len(base)):
+            out.add(ExactVector([s * c for s, c in zip(signs, base)]))
+    return out
+
+
+def paper_roots(family: str) -> set:
+    """The H3 roots: (+-1, 0, 0) and (+-tau, +-1, +-(tau - 1))/2; the H4
+    roots: (+-1, 0, 0, 0), (+-1, +-1, +-1, +-1)/2 and
+    (0, +-tau, +-1, +-(tau - 1))/2, each under all even permutations."""
+    one, zero = QuadraticRingElement(1), QuadraticRingElement(0)
+    half, t = QuadraticRingElement(1, 0, 5, 2), tau()
+    golden = (t * half, half, (t - 1) * half)
+    if family == "H3":
+        return (_signed_even_perms((one, zero, zero), _EVEN_PERMS_3)
+                | _signed_even_perms(golden, _EVEN_PERMS_3))
+    return (_signed_even_perms((one, zero, zero, zero), _EVEN_PERMS_4)
+            | _signed_even_perms((half,) * 4, _EVEN_PERMS_4)
+            | _signed_even_perms((zero,) + golden, _EVEN_PERMS_4))
 
 
 def _dot(terms):

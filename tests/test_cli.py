@@ -1,5 +1,6 @@
 """The qlat command-line interface and text encodings."""
 
+import hashlib
 import json
 import time
 
@@ -112,6 +113,36 @@ def test_group_emit(capsys, tmp_path):
     data = json.loads(path.read_text())
     assert data["order"] == 10
     assert len(data["matrices"]) == 10
+
+
+# sha256 of `qlat roots --system S --format json` (stdout) and of the file
+# `qlat group --system S --emit FILE` writes, recorded when the roots were
+# still built from the paper's coordinate patterns
+PINNED_SHA256 = {
+    "H3": ("60e140813e4abf0d554464798ce28d0a01e229f2e80745166dfd452461820c43",
+           "95c8b1861ed92648025d560a8d4d6b5bf9446581ae96f2e69eb61282f1b9d601"),
+    "H4": ("b925f7feafaabae349a1164e4d443598bac45c513de5f50ab1aab16f82f91eb7",
+           "f2e136e6fd65a5eee61a3048e0b2e4fa2ec2c35662a9d3b0eee4e60c55190f0a"),
+    "I2-5": ("95de564bdc36cb6394bebc9e55f05eaa7f58f0afe18a499fec0083e36f05be69",
+             "92d12d948b5dc5da07b514157ebfe1fab0d1a3713d4378433e463b0b39bfde11"),
+    "I2-8": ("7620010d0042499220b766c8bb22c6036c8e7f645e25749014aaa149178aec61",
+             "3de8ff981eeca0d68c47de3641b8d74b2172d83600b4a163cc8e23e141fdc6f5"),
+    "I2-10": ("ed69ffc10a2e565d3aedd55c04192f13645e419421b2bd2d928f2b15878026d9",
+              "e2a8d4e304614757530f2ee048f7a42b24bdf3dc1bec388bfa072aa20dfd5d2e"),
+    "I2-12": ("8a0a7077b9ba8d5c023ff39e6cbc829aca13982bbf54efc72f2e4d8304359a2a",
+              "bb6e6a05242751c45de9b3b6807e22818cf5758663c15d7cdb82e35cbbdb0081"),
+}
+
+
+@pytest.mark.parametrize("system", sorted(PINNED_SHA256))
+def test_roots_and_group_emit_bytes_are_pinned(capsys, tmp_path, system):
+    roots_sha, group_sha = PINNED_SHA256[system]
+    code, out = run(capsys, "roots", "--system", system, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == roots_sha
+    path = tmp_path / "matrices.json"
+    assert run(capsys, "group", "--system", system, "--emit", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == group_sha
 
 
 @pytest.mark.parametrize("system", ["I2-5", "H3"])

@@ -11,7 +11,6 @@ from qlat.ring import (
     QuadraticRingElement,
     fundamental_unit,
     golden,
-    golden_parts,
     tau,
     totient,
 )
@@ -69,7 +68,8 @@ def test_golden_parts_round_trip():
     for m in range(-5, 6):
         for n in range(-5, 6):
             g = golden(m, n)
-            assert golden_parts(g) == (Fraction(m), Fraction(n))
+            # m + n*tau = (m + n/2) + (n/2)*sqrt(5)
+            assert g.as_fractions() == (m + Fraction(n, 2), Fraction(n, 2))
             assert g.is_ring_integer()
 
 

@@ -1,8 +1,11 @@
 """Root systems: counts, closure under reflection, exact geometry."""
 
+import math
+
 import numpy as np
 import pytest
 
+from exact_oracle import paper_roots
 from qlat.ring import DomainError, QuadraticRingElement, tau
 from qlat.roots import (
     H3,
@@ -10,10 +13,9 @@ from qlat.roots import (
     I2,
     QUADRATIC_I2,
     RootSystemId,
-    embed_float,
     gram,
     is_quadratic,
-    root_count_decomposition,
+    root_count,
     roots,
     simple_roots,
 )
@@ -40,11 +42,11 @@ def test_parse():
 ])
 def test_root_counts(system, count):
     assert len(roots(system)) == count
-    assert sum(root_count_decomposition(system)) == count
+    assert root_count(system) == count
 
 
 def test_float_i2_root_count():
-    assert len(roots(I2(7))) == 14
+    assert len(roots(I2(7))) == root_count(I2(7)) == 14
     assert not is_quadratic(I2(7))
 
 
@@ -85,6 +87,16 @@ def test_exact_closure_under_all_reflections(system):
             assert reflect(v, r, g) in root_set
 
 
+def _euclidean(system, v):
+    """v in Euclidean coordinates: I2(n) coordinates are in the oblique
+    basis {1, zeta}, zeta at angle 2*pi/m with m = 2n (odd n) or n (even n)."""
+    x = v.to_floats()
+    if system.family != "I2":
+        return x
+    theta = 2 * math.pi / (2 * system.n if system.n % 2 else system.n)
+    return np.array([[1.0, math.cos(theta)], [0.0, math.sin(theta)]]) @ x
+
+
 @pytest.mark.parametrize("system", QUAD_SYSTEMS)
 def test_embedding_matches_exact_inner_products(system):
     g = gram(system)
@@ -92,7 +104,7 @@ def test_embedding_matches_exact_inner_products(system):
     for r in rs[:8]:
         for v in rs[:8]:
             exact = float(r.dot(v, g))
-            x, y = embed_float(system, r), embed_float(system, v)
+            x, y = _euclidean(system, r), _euclidean(system, v)
             assert abs(float(np.dot(x, y)) - exact) < 1e-12
 
 
@@ -118,14 +130,36 @@ def test_h3_golden_coordinate_shape():
     assert any(r.coords == (t * half, half, (t - 1) * half) for r in rs)
 
 
+@pytest.mark.parametrize("system", [H3, H4])
+def test_roots_are_the_papers_signed_even_permutations(system):
+    assert len(roots(system)) == len(paper_roots(system.family))
+    assert set(roots(system)) == paper_roots(system.family)
+
+
 @pytest.mark.parametrize("system", QUAD_SYSTEMS)
 def test_simple_roots_have_correct_count(system):
     sr = simple_roots(system)
     assert len(sr) == system.rank
 
 
+@pytest.mark.parametrize("system,chain", [(H3, (5, 3)), (H4, (5, 3, 3))])
+def test_simple_roots_have_coxeter_angles(system, chain):
+    """<a_i, a_j> = -cos(pi/m_ij) for the Coxeter matrix of the chain:
+    m_ii = 1, m_i,i+1 from the chain, m_ij = 2 otherwise."""
+    half = QuadraticRingElement(1, 0, 5, 2)
+    cos = {1: QuadraticRingElement(-1), 2: QuadraticRingElement(0), 3: half,
+           5: tau() * half}
+    for m, c in cos.items():
+        assert abs(float(c) - math.cos(math.pi / m)) < 1e-15
+    sr = simple_roots(system)
+    for i, a in enumerate(sr):
+        for j, b in enumerate(sr):
+            m = 1 if i == j else chain[min(i, j)] if abs(i - j) == 1 else 2
+            assert a.dot(b) == -cos[m]
+
+
 @pytest.mark.parametrize("system,order", [
-    (I2(5), 10), (I2(8), 16), (I2(12), 24), (H3, 120),
+    (I2(5), 10), (I2(8), 16), (I2(12), 24), (H3, 120), (I2(10), 20), (H4, 14400),
 ])
 def test_simple_root_reflections_generate_full_group(system, order):
     from qlat.groups import generate
