@@ -56,17 +56,20 @@ def bench_structure_factor():
             lambda: kernels.structure_factor_sum(points, ks))
 
 
-def bench_generate_h4():
-    """The cold closure alone, and with its element objects built."""
+def bench_generate():
+    """The cold closures of H3, I2-12 and H4, and of H4 with its element
+    objects built: the small groups show the per-level overhead."""
     from qlat.groups import generate
-    from qlat.roots import H4
+    from qlat.roots import H3, H4, I2
 
-    def cold():
+    def cold(system):
         generate.cache_clear()
-        return generate(H4)
+        return generate(system)
 
-    return [("generate(H4), cold (14400)", cold),
-            ("generate(H4).elements, cold (14400)", lambda: cold().elements)]
+    return [("generate(H3), cold (120)", partial(cold, H3)),
+            ("generate(I2-12), cold (24)", partial(cold, I2(12))),
+            ("generate(H4), cold (14400)", partial(cold, H4)),
+            ("generate(H4).elements, cold (14400)", lambda: cold(H4).elements)]
 
 
 def bench_orbit_h4():
@@ -225,7 +228,7 @@ def bench_patches(workdir):
 def main():
     benches = [bench() for bench in (
         bench_quad_matmul, bench_ellipsoid_points, bench_structure_factor)]
-    benches += bench_generate_h4()
+    benches += bench_generate()
     benches += [bench() for bench in (
         bench_orbit_h4, bench_quaternion_maps, bench_quaternion_map_builds,
         bench_apply_h4, bench_icosian_products,

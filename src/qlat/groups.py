@@ -5,9 +5,14 @@ A matrix is stored as integers: the numerator pairs (x, y) of its entries
 group element has den = 4.  Products, images of vectors, equality and
 hashing work on these integers: products and orbits through the batched
 products of qlat.kernels, the image of one vector in Python ints.  Every
-group is generated by breadth-first closure of the simple-root
-reflections and keeps the closure's rows as one (order, d, d, 2) int64
-array; orbits are one product over that array.  Every other matrix is
+group is generated by closure of the simple-root reflections, level by
+word length, and keeps the closure's rows as one (order, d, d, 2) int64
+array; orbits are one product over that array.  The closure is the
+numbers game (Bjorner and Brenti, Combinatorics of Coxeter Groups, 4.3):
+the Cartan matrix C of the simple roots decides, in integers, which
+products w*s are longer than w and which right descent is the smallest,
+so each element is built once, from that descent, in the order of a
+breadth-first search that keeps first occurrences.  Every other matrix is
 built from its columns, the images of the unit vectors e_j.
 
 The H4 group is also realized through unit-icosian pairs q1, q2 acting
@@ -17,7 +22,7 @@ as Q -> conj(q1) Q q2 (optionally with quaternion conjugation of Q).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 import numpy as np
@@ -25,7 +30,7 @@ import numpy as np
 from . import kernels
 from .quaternions import GoldenQuaternion, qconj, qmul, require_unit, unit_icosians
 from .ring import DomainError, QuadraticRingElement, common_radicand, radicand
-from .roots import RootSystemId, gram, is_quadratic, kappa_of, simple_roots
+from .roots import RootSystemId, gram, is_quadratic, kappa_of, root_count, simple_roots
 from .vectors import ExactVector, reflect
 
 
@@ -246,26 +251,87 @@ class ReflectionGroup:
         return np.stack((x // g, y // g, 4 // g), axis=-1)
 
 
-def _bfs_compact(gens: list[GroupElement], kappa: int) -> np.ndarray:
-    """Every product of the generators, in breadth-first order."""
+def _cartan(simple, g) -> np.ndarray:
+    """(K, K, 2) int64 array of the Cartan entries
+    C[s, t] = 2<a_s, a_t>/<a_t, a_t> of the simple roots, each as its
+    numerator pair (x, y) of (x + y*sqrt(kappa))/2."""
+    pairs = []
+    for a in simple:
+        for b in simple:
+            c = a.dot(b, g) * 2 / b.dot(b, g)
+            if 2 % c.den:
+                raise DomainError(f"Cartan entry {c} is not over the denominator 2")
+            pairs += (c.p * (2 // c.den), c.q * (2 // c.den))
+    return np.array(pairs, dtype=np.int64).reshape(len(simple), len(simple), 2)
+
+
+def _positive(a: np.ndarray, kappa: int) -> np.ndarray:
+    """Whether (p + q*sqrt(kappa))/2 > 0 for p, q = a[0], a[1], decided in
+    integers: x -> x|x| increases, so p > -q*sqrt(kappa) exactly when
+    p|p| > -kappa*q|q|."""
+    signed_squares = a * np.abs(a)
+    return signed_squares[0] + kappa * signed_squares[1] > 0
+
+
+def _numbers_game(gens: list[GroupElement], cartan: np.ndarray, kappa: int,
+                  max_levels: int) -> np.ndarray:
+    """Every product of the reflections gens in the simple roots of the
+    Cartan matrix cartan, in breadth-first order, each built once.
+
+    Row w of a level carries a(w), a_t(w) = <w^-1 rho, a_t^v> for the rho
+    with every a_t(e) = 1, as pairs (p, q) of (p + q*sqrt(kappa))/2.  w*s
+    is longer than w exactly when a_s(w) > 0, and
+    a(w*s) = a(w) - a_s(w) C[s, :].  An element of length L + 1 is w*s for
+    each of its right descents s; it is kept only from the smallest, where
+    a_t(w*s) > 0 for every t < s.  Kept rows run generator by generator,
+    then in frontier order: exactly the order in which a breadth-first
+    search over the products w*s, generator by generator, first meets each
+    element.  The game runs first, on a(w) alone; then one int64 array of
+    the group's order takes each level's products.  Raises DomainError past
+    max_levels levels and ArithmeticError when a product a_s(w) C[s, t] is
+    odd over 4 or a(w) or a matrix entry outgrows int64.
+    """
     if any(g.den != 4 for g in gens):
         raise DomainError("matrix has an entry whose denominator does not divide 4")
-    gen_arrs = [g.numerators for g in gens]
+    gen_arrs = np.stack([g.numerators for g in gens])
+    k = len(gens)
+    later = np.tri(k, dtype=bool).T  # later[s, t]: t >= s
+    # (x + y*r)(cx + cy*r) = (x*cx + kappa*y*cy) + (x*cy + y*cx)*r for r = sqrt(kappa)
+    cx_cy = np.moveaxis(cartan, -1, 0)
+    kcy_cx = np.stack((kappa * cartan[..., 1], cartan[..., 0]))
+    bound = isqrt(kernels.INT64_MAX // (kappa + 1)) // max(1, int(np.abs(cartan).max()))
+    a = np.zeros((2, 1, k), dtype=np.int64)  # a[:, w, t]: the pair (p, q) of a_t(w)
+    a[0] = 2
+    positive = np.ones((1, k), dtype=bool)
+    plan = []  # per level after the first: the rows w and generators s of its w*s
+    while True:
+        moves, rows = np.nonzero(positive.T)
+        # a(w*s) for each candidate w*s longer than w
+        x, y = a[:, rows, moves, None]
+        step = x * cx_cy[:, moves] + y * kcy_cx[:, moves]
+        if (step & 1).any():
+            raise ArithmeticError("a closure product a_s(w) C[s, t] is odd over 4")
+        a = a[:, rows] - (step >> 1)
+        if int(np.abs(a).max(initial=0)) > bound:
+            raise ArithmeticError("closure values outgrew int64")
+        positive = _positive(a, kappa)
+        keep = (positive | later[moves]).all(axis=1)
+        if not keep.any():
+            break
+        if len(plan) + 1 == max_levels:
+            raise DomainError(f"closure runs past {max_levels} levels")
+        rows, moves, a, positive = rows[keep], moves[keep], a[:, keep], positive[keep]
+        plan.append((rows, moves))
+    # each level is one product of its rows of the level before with their generators
     ident = identity_element(gens[0].dim).numerators
-    seen = {ident.tobytes()}
-    frontier = ident[None]
-    levels = [frontier]
-    while len(frontier):
-        prods = np.concatenate(
-            [kernels.quad_matmul_batch(frontier, ga, kappa) for ga in gen_arrs])
-        new = []
-        for i, key in enumerate(_byte_rows(prods)):
-            if key not in seen:
-                seen.add(key)
-                new.append(i)
-        frontier = prods[new]
-        levels.append(frontier)
-    return np.concatenate(levels)
+    out = np.empty((1 + sum(len(rows) for rows, _ in plan),) + ident.shape, dtype=np.int64)
+    out[0] = ident
+    start, end = 0, 1
+    for rows, moves in plan:
+        out[end:end + len(rows)] = kernels.quad_matmul_batch(
+            out[start + rows], gen_arrs[moves], kappa)
+        start, end = end, end + len(rows)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -277,9 +343,11 @@ def generate(system: RootSystemId) -> ReflectionGroup:
             "generation is unsupported"
         )
     g = gram(system)
-    gens = [reflection_matrix(r, g) for r in simple_roots(system)]
+    simple = simple_roots(system)
+    gens = [reflection_matrix(r, g) for r in simple]
     kappa = kappa_of(system)
-    return ReflectionGroup(system, _bfs_compact(gens, kappa), kappa)
+    closure = _numbers_game(gens, _cartan(simple, g), kappa, root_count(system) // 2 + 1)
+    return ReflectionGroup(system, closure, kappa)
 
 
 def orbit(group: ReflectionGroup, v: ExactVector) -> frozenset:

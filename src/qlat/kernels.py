@@ -28,8 +28,9 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 def quad_product(a: np.ndarray, b: np.ndarray, kappa: int) -> np.ndarray:
     """Numerator pairs of a @ b for a of shape (..., d, d, 2) and b of shape
-    (d, 2) or (d, d, 2); in Python ints (object dtype) when int64 could
-    overflow.
+    (d, 2), (d, d, 2) or, batched, (n, d, d, 2) against a of shape
+    (n, d, d, 2), giving a[k] @ b[k]; in Python ints (object dtype) when
+    int64 could overflow.
 
     One integer matmul: the pairs of a, read as rows of length 2d, meet
     the rows (bx, by) and (kappa*by, bx) of b, since
@@ -41,14 +42,20 @@ def quad_product(a: np.ndarray, b: np.ndarray, kappa: int) -> np.ndarray:
         int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
         * d * (kappa + 1) > INT64_MAX)
     dtype = object if wide else np.int64
-    pairs = b.reshape(d, 1, -1, 2).astype(dtype, copy=False)
-    w = np.concatenate((pairs, pairs[..., ::-1] * (kappa, 1)), axis=1).reshape(2 * d, -1)
+    batch = b.shape[:-3]
+    pairs = b.reshape(batch + (d, -1, 2))
+    w = np.empty(batch + (d, 2) + pairs.shape[-2:], dtype=dtype)
+    w[..., 0, :, :] = pairs
+    w[..., 1, :, 0] = pairs[..., 1] * kappa
+    w[..., 1, :, 1] = pairs[..., 0]
     rows = a.reshape(a.shape[:-2] + (2 * d,)).astype(dtype, copy=False)
-    return (rows @ w).reshape(a.shape[:-2] + b.shape[1:])
+    return (rows @ w.reshape(batch + (2 * d, -1))).reshape(
+        a.shape[:-2] + b.shape[len(batch) + 1:])
 
 
 def quad_matmul_batch(A: np.ndarray, B: np.ndarray, kappa: int) -> np.ndarray:
-    """(n,d,d,2) @ (d,d,2) -> (n,d,d,2), all over denominator 4."""
+    """(n,d,d,2) @ (d,d,2) or, row by row, (n,d,d,2) @ (n,d,d,2) ->
+    (n,d,d,2), all over denominator 4."""
     c = quad_product(np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64),
                      kappa)
     if (c & 3).any():

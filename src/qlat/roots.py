@@ -124,25 +124,26 @@ def gram(system: RootSystemId):
 
 
 @lru_cache(maxsize=None)
-def simple_roots(system: RootSystemId) -> list[ExactVector]:
-    """d roots whose reflections generate the full group.
+def simple_roots(system: RootSystemId) -> tuple[ExactVector, ...]:
+    """A simple system: d roots at the obtuse angles pi - pi/m_ij of the
+    Coxeter diagram, whose reflections generate the full group.
 
     H3 and H4: golden coordinates, numbered along the Coxeter diagram 5-3
-    or 5-3-3.  I2(n): the oblique basis vectors 1 and zeta for odd n, 1
-    and 1 + zeta for even n.
+    or 5-3-3.  I2(n): in the oblique basis, 1 and -zeta for odd n, 1 and
+    -(1 + zeta) for even n.
     """
     if system.family == "I2":
         k = kappa_of(system)
         one = ExactVector.from_numerators((1, 0, 0, 0), 1, k)
         zeta = ExactVector.from_numerators((0, 1, 0, 0), 1, k)
-        return [one, zeta] if system.n % 2 == 1 else [one, one + zeta]
+        return (one, -zeta) if system.n % 2 == 1 else (one, -(one + zeta))
     t, half = tau(), QuadraticRingElement(1, 0, 5, 2)
     a, b = t * half, (t - 1) * half
     if system.family == "H3":
         rows = ((-1, 0, 0), (a, -half, b), (0, 1, 0))
     else:
         rows = ((-1, 0, 0, 0), (a, -half, 0, b), (0, a, -half, -b), (0, 0, 1, 0))
-    return [ExactVector(r) for r in rows]
+    return tuple(ExactVector(r) for r in rows)
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +152,8 @@ def roots(system: RootSystemId):
 
     H3: 30 vectors; H4: 120; I2(n): 2n.  Exact roots are the closure of
     the simple roots under their reflections, in sort_key order.
-    Non-quadratic I2(n) come back as a list of float numpy arrays.
+    Non-quadratic I2(n) come back as float numpy arrays.  The result is a
+    tuple, shared by every caller.
     """
     if is_quadratic(system):
         g = gram(system)
@@ -166,7 +168,7 @@ def roots(system: RootSystemId):
                 if w not in seen:
                     seen.add(w)
                     found.append(w)
-        return sorted(found, key=ExactVector.sort_key)
+        return tuple(sorted(found, key=ExactVector.sort_key))
     n = system.n
     if 2 * n > MAX_FLOAT_ROOTS:
         raise DomainError(f"{system} has {2 * n} roots, over the limit of "
@@ -185,7 +187,7 @@ def roots(system: RootSystemId):
             ])
             for k in range(n)
         ]
-    return out
+    return tuple(out)
 
 
 def root_count(system: RootSystemId) -> int:

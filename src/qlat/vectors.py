@@ -9,6 +9,7 @@ with quadratic coordinates, so those vectors live in an oblique basis
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -149,18 +150,16 @@ class ExactVector:
             self.form[:d] + tuple(-q for q in self.form[d:]), self.den, self.kappa)
 
     def dot(self, other: "ExactVector", gram: Gram = None) -> QuadraticRingElement:
+        """<self, other>: with a Gram matrix, the Gram-free dot of self with
+        gram @ other, taken in integers."""
+        if gram is not None:
+            other = _gram_image(gram, other)
         kappa = self._match(other)
-        if gram is None:
-            d = self.dim
-            p, q, r, s = self.form[:d], self.form[d:], other.form[:d], other.form[d:]
-            return QuadraticRingElement(
-                sum(map(mul, p, r)) + kappa * sum(map(mul, q, s)),
-                sum(map(mul, p, s)) + sum(map(mul, q, r)), kappa, self.den * other.den)
-        total = QuadraticRingElement(0, 0, self.kappa)
-        for i, a in enumerate(self.coords):
-            for j, b in enumerate(other.coords):
-                total = total + a * gram[i][j] * b
-        return total
+        d = self.dim
+        p, q, r, s = self.form[:d], self.form[d:], other.form[:d], other.form[d:]
+        return QuadraticRingElement(
+            sum(map(mul, p, r)) + kappa * sum(map(mul, q, s)),
+            sum(map(mul, p, s)) + sum(map(mul, q, r)), kappa, self.den * other.den)
 
     def to_floats(self) -> np.ndarray:
         return np.array([float(c) for c in self.coords])
@@ -170,6 +169,34 @@ class ExactVector:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(repr(c) for c in self.coords))
+
+
+@lru_cache(maxsize=None)
+def _gram_form(gram) -> tuple:
+    """(rows, den, kappa, irrational) of the Gram matrix gram: row i is the
+    pair (x, y) of numerator tuples of its entries (x_j + y_j*sqrt(kappa))/den."""
+    cells = [c for row in gram for c in row]
+    den = lcm(*(c.den for c in cells))
+    rows = tuple((tuple(c.p * (den // c.den) for c in row),
+                  tuple(c.q * (den // c.den) for c in row)) for row in gram)
+    return rows, den, common_radicand((c.kappa, c.q != 0) for c in cells), any(
+        c.q for c in cells)
+
+
+def _gram_image(gram, v: ExactVector) -> ExactVector:
+    """gram @ v from the integer forms: row (x + y*r) meets (p + q*r) as
+    x.p + kappa*y.q and (x.q + y.p)*r, for r = sqrt(kappa)."""
+    rows, den, kappa, irrational = _gram_form(tuple(map(tuple, gram)))
+    d = v.dim
+    if len(rows) != d:
+        raise DomainError("dimension mismatch")
+    if kappa != v.kappa:
+        kappa = radicand(kappa, irrational, v.kappa, v._irrational())
+    p, q = v.form[:d], v.form[d:]
+    return ExactVector.from_numerators(
+        [sum(map(mul, x, p)) + kappa * sum(map(mul, y, q)) for x, y in rows]
+        + [sum(map(mul, x, q)) + sum(map(mul, y, p)) for x, y in rows],
+        den * v.den, kappa)
 
 
 def reflect(v: ExactVector, r: ExactVector, gram: Gram = None) -> ExactVector:

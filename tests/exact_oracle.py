@@ -1,7 +1,7 @@
 """Exact object arithmetic kept as test oracles.
 
 The library multiplies matrices, applies them to vectors, multiplies
-quaternions, inverts integer matrices by integer elimination, decides
+quaternions, takes Gram inner products, inverts integer matrices by integer elimination, decides
 quasilattice membership on integer numerators and classifies rescalings
 by a period; these are the same operations written entry by entry with
 QuadraticRingElement and Fraction, inverses and frame coefficients by
@@ -58,6 +58,15 @@ def object_matmul(a, b):
         tuple(_dot(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
         for i in range(d)
     )
+
+
+def object_gram_dot(u: ExactVector, v: ExactVector, gram) -> QuadraticRingElement:
+    """<u, v> through the Gram matrix gram, cell by cell."""
+    total = QuadraticRingElement(0, 0, u.kappa)
+    for i, a in enumerate(u.coords):
+        for j, b in enumerate(v.coords):
+            total = total + a * gram[i][j] * b
+    return total
 
 
 def object_apply(entries, v: ExactVector) -> ExactVector:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact_oracle import object_apply, object_matmul, object_qmul
@@ -363,9 +363,9 @@ def test_group_elements_are_built_on_first_read():
 
 def test_generate_redoes_the_closure_after_cache_clear(monkeypatch):
     calls = []
-    bfs = groups._bfs_compact
-    monkeypatch.setattr(groups, "_bfs_compact",
-                        lambda *args: calls.append(args) or bfs(*args))
+    closure = groups._numbers_game
+    monkeypatch.setattr(groups, "_numbers_game",
+                        lambda *args: calls.append(args) or closure(*args))
     first = generate(H3)
     generate.cache_clear()
     second = generate(H3)
@@ -404,5 +404,74 @@ def test_closure_refuses_a_generator_off_the_quarter_integers():
     third = GroupElement([[_entry(1, 0, 5, 3), _entry(0, 0, 5, 1)],
                           [_entry(0, 0, 5, 1), _entry(1, 0, 5, 1)]])
     assert third.den == 12
+    cartan = groups._cartan(simple_roots(I2(5)), gram(I2(5)))
     with pytest.raises(DomainError, match="divide 4"):
-        groups._bfs_compact([identity_element(2), third], 5)
+        groups._numbers_game([identity_element(2), third], cartan, 5, 6)
+
+
+def _seen_set_bfs(gens, kappa):
+    """Reference: breadth-first closure over every product w*s, generator
+    by generator, keeping each element's first occurrence by its bytes."""
+    ident = identity_element(gens[0].dim).numerators
+    seen, frontier, levels = {ident.tobytes()}, ident[None], [ident[None]]
+    while len(frontier):
+        prods = np.concatenate(
+            [kernels.quad_matmul_batch(frontier, g.numerators, kappa) for g in gens])
+        new = []
+        for i, m in enumerate(prods):
+            if m.tobytes() not in seen:
+                seen.add(m.tobytes())
+                new.append(i)
+        frontier = prods[new]
+        levels.append(frontier)
+    return np.concatenate(levels)
+
+
+def _closure_inputs(system):
+    g, simple = gram(system), simple_roots(system)
+    return [reflection_matrix(r, g) for r in simple], groups._cartan(simple, g)
+
+
+@pytest.mark.parametrize("system", [I2(5), I2(8), I2(10), I2(12), H3, H4], ids=str)
+def test_numbers_game_keeps_the_seen_set_order(system):
+    gens, _ = _closure_inputs(system)
+    want = _seen_set_bfs(gens, kappa_of(system))
+    got = generate(system).numerators
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_closure_refuses_to_run_past_its_level_cap():
+    # H3 has 15 positive roots, so its longest element ends level 15 of 0..15
+    gens, cartan = _closure_inputs(H3)
+    assert len(groups._numbers_game(gens, cartan, 5, 16)) == 120
+    with pytest.raises(DomainError, match="past 15 levels"):
+        groups._numbers_game(gens, cartan, 5, 15)
+
+
+def test_closure_refuses_an_odd_a_product_and_int64_overflow():
+    gens, _ = _closure_inputs(H3)
+    # C[s, t] = 1/2 off the diagonal: one step leaves a_t = 1 - 1/2, the
+    # pair (1, 0) over 2, and the next product (1/2)(1/2) is (1, 0) over 4
+    halves = np.array([[[4 if s == t else 1, 0] for t in range(3)] for s in range(3)])
+    with pytest.raises(ArithmeticError, match="odd"):
+        groups._numbers_game(gens, halves, 5, 16)
+    huge = np.array([[[4 if s == t else -2 ** 40, 0] for t in range(3)] for s in range(3)])
+    with pytest.raises(ArithmeticError, match="int64"):
+        groups._numbers_game(gens, huge, 5, 16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa=st.sampled_from([2, 3, 5]),
+       p=st.integers(-10 ** 9, 10 ** 9), q=st.integers(-10 ** 9, 10 ** 9))
+# p/q near -sqrt(kappa), where the signs of p + q and p + q*sqrt(kappa) differ
+@example(2, 7, -5)
+@example(2, -99, 70)
+@example(3, 7, -4)
+@example(3, -26, 15)
+@example(5, 9, -4)
+@example(5, -2889, 1292)
+@example(5, 0, 0)
+def test_closure_sign_test_is_exact(kappa, p, q):
+    want = QuadraticRingElement(p, q, kappa) > 0
+    assert groups._positive(np.array([[p], [q]]), kappa)[0] == want

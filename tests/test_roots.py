@@ -142,20 +142,45 @@ def test_simple_roots_have_correct_count(system):
     assert len(sr) == system.rank
 
 
-@pytest.mark.parametrize("system,chain", [(H3, (5, 3)), (H4, (5, 3, 3))])
+@pytest.mark.parametrize("system,chain", [
+    (H3, (5, 3)), (H4, (5, 3, 3)), (I2(5), (5,)), (I2(8), (8,)), (I2(10), (10,)),
+    (I2(12), (12,)),
+])
 def test_simple_roots_have_coxeter_angles(system, chain):
-    """<a_i, a_j> = -cos(pi/m_ij) for the Coxeter matrix of the chain:
-    m_ii = 1, m_i,i+1 from the chain, m_ij = 2 otherwise."""
-    half = QuadraticRingElement(1, 0, 5, 2)
-    cos = {1: QuadraticRingElement(-1), 2: QuadraticRingElement(0), 3: half,
-           5: tau() * half}
-    for m, c in cos.items():
-        assert abs(float(c) - math.cos(math.pi / m)) < 1e-15
-    sr = simple_roots(system)
+    """<a_i, a_j> = -cos(pi/m_ij)|a_i||a_j| for the Coxeter matrix of the
+    chain: m_ii = 1, m_i,i+1 from the chain, m_ij = 2 otherwise.  Checked
+    exactly as <a_i, a_j> <= 0 with the square cos^2(pi/m)|a_i|^2|a_j|^2."""
+    k = 5 if system.family != "I2" else QUADRATIC_I2[system.n]
+    quarter = QuadraticRingElement(1, 0, k, 4)
+    cos2 = {1: QuadraticRingElement(1), 2: QuadraticRingElement(0), 3: quarter,
+            5: (tau() + 1) * quarter, 8: QuadraticRingElement(2, 1, 2, 4),
+            10: (tau() + 2) * quarter, 12: QuadraticRingElement(2, 1, 3, 4)}
+    for m, c in cos2.items():
+        assert abs(float(c) - math.cos(math.pi / m) ** 2) < 1e-15
+    g, sr = gram(system), simple_roots(system)
     for i, a in enumerate(sr):
         for j, b in enumerate(sr):
             m = 1 if i == j else chain[min(i, j)] if abs(i - j) == 1 else 2
-            assert a.dot(b) == -cos[m]
+            ab = a.dot(b, g)
+            assert ab * ab == cos2[m] * a.dot(a, g) * b.dot(b, g)
+            assert i == j or ab <= 0
+    if system.family != "I2":
+        assert all(a.dot(a) == 1 for a in sr)
+
+
+@pytest.mark.parametrize("system", QUAD_SYSTEMS + [I2(7)], ids=str)
+def test_root_lists_are_shared_tuples(system):
+    """roots and simple_roots hand every caller the same cached result, so
+    it is a tuple: no caller can reorder or extend what generate reads."""
+    rs = roots(system)
+    assert isinstance(rs, tuple) and rs is roots(system)
+    with pytest.raises(AttributeError):
+        rs.sort()
+    if is_quadratic(system):
+        simple = simple_roots(system)
+        assert isinstance(simple, tuple)
+        with pytest.raises(AttributeError):
+            simple.reverse()
 
 
 @pytest.mark.parametrize("system,order", [

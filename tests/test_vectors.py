@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_oracle import object_gram_dot
 from qlat.groups import generate, h4_element_from_quaternions, orbit
 from qlat.modules import membership, ql
 from qlat.quaternions import qconj, qmul, qnorm, unit_icosians
 from qlat.ring import DomainError, QuadraticRingElement, tau
-from qlat.roots import H4, roots
+from qlat.roots import H4, I2, QUADRATIC_I2, gram, roots
 from qlat.vectors import ExactVector
 
 
@@ -73,11 +74,23 @@ def test_rational_vector_labelled_kappa_2_with_a_golden_one(data, d):
     assert mixed.kappa == (5 if any(c.q for c in golden) else 2)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.sampled_from(sorted(QUADRATIC_I2)))
+def test_gram_dot_matches_the_cell_loop(data, n):
+    g, kappa = gram(I2(n)), QUADRATIC_I2[n]
+    u, v = (ExactVector(data.draw(_cells(kappa, 2, rational=data.draw(st.booleans()))))
+            for _ in range(2))
+    got, want = u.dot(v, g), object_gram_dot(u, v, g)
+    assert got == want and (got.p, got.q, got.den) == (want.p, want.q, want.den)
+    assert got.kappa == want.kappa or not want.q
+
+
 def test_sqrt2_and_sqrt5_vectors_refuse_to_combine():
     a = ExactVector((QuadraticRingElement(1, 1, 2), 0))
     b = ExactVector((0, QuadraticRingElement(0, 1, 5)))
     for op in (lambda: a + b, lambda: a - b, lambda: b - a, lambda: a.dot(b),
-               lambda: a.scale(tau()), lambda: b.scale(QuadraticRingElement(0, 1, 2))):
+               lambda: a.scale(tau()), lambda: b.scale(QuadraticRingElement(0, 1, 2)),
+               lambda: a.dot(a, gram(I2(5))), lambda: b.dot(b, gram(I2(8)))):
         with pytest.raises(DomainError, match="mixed radicands"):
             op()
     # equal integer forms: kappa counts only when some q is nonzero
@@ -101,6 +114,7 @@ def test_vectors_from_numerators_build_coordinates_on_first_read():
 def test_integer_paths_build_no_coordinates(monkeypatch):
     qlm, group, rs, units = ql("H4"), generate(H4), roots(H4), unit_icosians()
     g, t = group.elements[77], tau()
+    r5, g5 = roots(I2(5)), gram(I2(5))
 
     def refuse(self):
         raise AssertionError("coordinates built")
@@ -110,6 +124,7 @@ def test_integer_paths_build_no_coordinates(monkeypatch):
     w = (v + rs[3] - rs[8]).scale(t).scale(Fraction(1, 2)).scale(2) - v.conjugate()
     assert -w + w == ExactVector.from_numerators([0] * 8, 1, 5) and (w - w).is_zero()
     assert w in {w} and v.dot(v) == Fraction(7, 2)
+    assert all(r.dot(r, g5) == 1 for r in r5)
     assert membership(qlm, rs[3] + rs[8]).member
     assert not membership(qlm, v.scale(Fraction(1, 3))).member
     assert qmul(units[4], qconj(units[4])) == ExactVector((1, 0, 0, 0))
