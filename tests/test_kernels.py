@@ -40,6 +40,18 @@ def test_quad_matmul_matches_object_products():
         for i in range(len(a)):
             expected = object_matmul(_entries(a[i], kappa), _entries(b, kappa))
             assert _entries(prods[i], kappa) == expected
+        # a right operand batched row by row: a[i] @ bs[i]
+        bs = 2 * rng.integers(-3, 4, size=(5, 4, 4, 2))
+        prods = kernels.quad_matmul_batch(a, bs, kappa)
+        for i in range(len(a)):
+            expected = object_matmul(_entries(a[i], kappa), _entries(bs[i], kappa))
+            assert _entries(prods[i], kappa) == expected
+        # past int64 the batched product goes to Python ints, row by row alike
+        wide = kernels.quad_product(a * 2 ** 40, bs * 2 ** 20, kappa)
+        assert wide.dtype == object
+        for i in range(len(a)):
+            assert (wide[i] == kernels.quad_product(a[i] * 2 ** 40, bs[i] * 2 ** 20,
+                                                    kappa)).all()
 
 
 def test_quad_matmul_matches_object_arithmetic():
