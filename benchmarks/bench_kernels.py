@@ -6,13 +6,15 @@ read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
-1000 calls, so their milliseconds read as microseconds per call.
+1000 calls, so their milliseconds read as microseconds per call.  The
+read_patch_csv lines also give the tracemalloc peak of one more call.
 """
 
 import os
 import random
 import tempfile
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -28,6 +30,16 @@ def timeit(fn, repeat=5):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def peak_mb(fn):
+    """The tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def bench_quad_matmul():
@@ -240,7 +252,10 @@ def main():
     benches += bench_patch_exact()
     with tempfile.TemporaryDirectory() as workdir:
         for label, fn in benches + bench_patches(workdir):
-            print(f"{label:40s} {timeit(fn) * 1e3:8.2f} ms")
+            line = f"{label:40s} {timeit(fn) * 1e3:8.2f} ms"
+            if label.startswith("read_patch_csv"):
+                line += f"  peak {peak_mb(fn):6.2f} MB"
+            print(line)
 
 
 if __name__ == "__main__":

@@ -9,11 +9,10 @@ x + conj(x) + (x - conj(x))/sqrt(5) applied to the golden 4D dot.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -219,18 +218,17 @@ def structure_factor(patch: Patch, k) -> float:
 # -- CSV serialization --------------------------------------------------
 #
 # A patch file holds a metadata row, the column names, then one row per
-# point: its floats x_j, exact coordinates exact_j and coefficients c_i.
-# x_j and exact_j depend only on the numerator pair (p_j, q_j), and a patch
-# has few distinct pairs and coefficients, so each distinct value is
-# formatted once.  No field holds a comma, a quote or a line break, so the
-# fields joined by commas, one CRLF-ended line a row, are what csv.writer
-# writes.
+# point: its floats x_j, exact coordinates exact_j and coefficients c_i,
+# comma-joined, one CRLF-ended line a row.  A patch is fixed by its target,
+# window and radius, so the metadata row fixes every other byte: the reader
+# regenerates the patch it names and compares the bytes _text gives the
+# writer.  x_j and exact_j depend only on the numerator pair (p_j, q_j), and
+# a patch has few distinct pairs and coefficients, so each is formatted once.
 
-def _rows(patch: Patch, qlm: QLModule, numerators: np.ndarray,
-          points: np.ndarray) -> list[list[str]]:
-    """The rows of the patch's file: the metadata, the column names, then
-    each point's fields, from the numerators and points _coordinates gives
-    for patch.coeffs."""
+def _text(patch: Patch) -> bytes:
+    """The bytes of the patch's file."""
+    qlm = ql(patch.target)
+    numerators, points = _coordinates(qlm, patch.coeffs)
     d, coeffs = qlm.dim, patch.coeffs
     fields = np.empty((len(coeffs), 2 * d + qlm.rank), dtype=object)
     for j in range(d):
@@ -241,10 +239,11 @@ def _rows(patch: Patch, qlm: QLModule, numerators: np.ndarray,
                                    for a, b in zip(p, q)])[inverse]
     values, inverse = np.unique(coeffs, return_inverse=True)
     fields[:, 2 * d:] = _table(list(map(str, values.tolist())))[inverse.reshape(coeffs.shape)]
-    return [["# target", patch.target, "window", patch.window.shape,
+    rows = [["# target", patch.target, "window", patch.window.shape,
              "scale", str(patch.window.scale), "radius", str(patch.radius)],
             [f"x{i}" for i in range(d)] + [f"exact{i}" for i in range(d)]
             + [f"c{i}" for i in range(qlm.rank)]] + fields.tolist()
+    return ("\r\n".join(map(",".join, rows)) + "\r\n").encode()
 
 
 def _distinct_pairs(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,103 +262,44 @@ def _table(strings: list[str]) -> np.ndarray:
 
 
 def write_patch_csv(patch: Patch, path: str) -> None:
-    qlm = ql(patch.target)
-    rows = _rows(patch, qlm, *_coordinates(qlm, patch.coeffs))
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+    text = _text(patch)  # rendering after open() truncates the file measured slower
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
 def read_patch_csv(path: str) -> Patch:
-    """The patch written by write_patch_csv, its points derived from the
-    coefficient columns.  DomainError names the path and line of a file
-    that is empty or malformed, has a line other than the one the writer
-    gives for those coefficients, or repeats or reorders the writer's
-    points.  Lines count CSV records, so they are the file's lines unless
-    a quoted field spans several."""
-    line = 1  # where the next refusal points
+    """The patch whose file write_patch_csv writes at path.
+
+    The metadata row names a target, a window and a radius, and so a
+    patch: the reader regenerates it with generate_patch and returns it if
+    the file is the writer's bytes for it, CRLF or LF line endings alike.
+    It reads at most one byte more than the writer writes.  DomainError
+    names the path and line of any other file: line 1 when the metadata
+    row names no patch, otherwise the first line that differs from the
+    writer's.  While windows are decided in floats, whether a file is
+    accepted rests on the float decisions of generate_patch."""
+    line = 1  # where a refusal points until the comparison finds a line
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                rows = list(reader)
-            except csv.Error as exc:
-                line = reader.line_num
-                raise ValueError(exc) from None
-            except UnicodeDecodeError:
-                line = _undecodable_line(path)
-                raise ValueError("the line is not UTF-8 text") from None
-        if len(rows) < 2:
-            line = len(rows)
-            raise ValueError("the file ends early")
-        _, target, _, shape, _, scale, _, radius = rows[0]
-        qlm = ql(target)
-        window = Window(shape, float(scale))
-        d2, width, data = 2 * qlm.dim, 2 * qlm.dim + qlm.rank, rows[2:]
-        if set(map(len, data)) - {width}:
-            i = next(i for i, row in enumerate(data) if len(row) != width)
-            line = 3 + i
-            raise ValueError(f"expected {width} fields, found {len(data[i])}")
-        # a patch has few distinct coefficients: parse each once
-        cells = [row[d2:] for row in data]
-        values = {text: _int64(text) for text in set(chain.from_iterable(cells))}
-        bad = {text for text, value in values.items() if value is None}
-        if bad:
-            i = next(i for i, row in enumerate(cells) if not bad.isdisjoint(row))
-            line = 3 + i
-            text = next(text for text in cells[i] if text in bad)
-            raise ValueError(f"coefficient {text!r} is not a 64-bit integer")
-        coeffs = np.fromiter(map(values.__getitem__, chain.from_iterable(cells)),
-                             np.int64, len(cells) * qlm.rank).reshape(-1, qlm.rank)
-        try:
-            numerators, points = _coordinates(qlm, coeffs)
-        except DomainError:
-            line = 3 + int(np.abs(coeffs).max(axis=1).argmax())
-            raise
-        patch = Patch(qlm.name, window, float(radius), coeffs, points)
-        want = _rows(patch, qlm, numerators, points)
-        if rows != want:
-            line = 1 + next(i for i, (got, row) in enumerate(zip(rows, want))
-                            if got != row)
-            raise ValueError("the line is not the one written for these coefficients")
-        repeats, disorder = _out_of_order(coeffs, points)
-        if (repeats | disorder).any():
-            i = int((repeats | disorder).argmax())
-            line = 4 + i
-            raise ValueError("the point repeats the one before it" if repeats[i]
-                             else "the point is out of the writer's order")
+        with open(path, "rb") as fh:
+            head = fh.readline(1024)  # a metadata row is under 120 bytes
+            _, target, _, shape, _, scale, _, radius = head.decode().split(",")
+            patch = generate_patch(embedding(target), Window(shape, float(scale)),
+                                   float(radius))
+            want = _text(patch)
+            got = head + fh.read(len(want) + 1)
+        if got != want:
+            got, want = got.replace(b"\r\n", b"\n"), want.replace(b"\r\n", b"\n")
+        if got != want:
+            line = got.count(b"\n", 0, _first_difference(got, want)) + 1
+            raise ValueError("the line is not the one written for the patch "
+                             "the metadata row names")
     except ValueError as exc:
         raise DomainError(f"{path}, line {line}: not a patch file: {exc}") from None
     return patch
 
 
-def _undecodable_line(path: str) -> int:
-    """The line of the first byte of path that is not UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    return 1
-
-
-def _out_of_order(coeffs: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each point after the first: whether its coefficient row repeats
-    the one before it, and whether it precedes that point in the writer's
-    lexicographic order of the float coordinates.  Distinct points of a
-    patch have distinct floats, so comparing neighbours finds every repeat
-    in a file that is in order."""
-    diff = points[1:] - points[:-1]
-    first = (diff != 0).argmax(axis=1)
-    disorder = diff[np.arange(len(diff)), first] < 0
-    repeats = (coeffs[1:] == coeffs[:-1]).all(axis=1)
-    return repeats, disorder
-
-
-def _int64(text: str) -> int | None:
-    """The integer text spells, or None if it spells none that fits in int64."""
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if abs(value) <= kernels.INT64_MAX else None
+def _first_difference(a: bytes, b: bytes) -> int:
+    """The first index where a and b differ, or the shorter length."""
+    n = min(len(a), len(b))
+    differ = np.frombuffer(a, np.uint8, n) != np.frombuffer(b, np.uint8, n)
+    return int(differ.argmax()) if differ.any() else n

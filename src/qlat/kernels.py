@@ -73,8 +73,8 @@ MAX_CANDIDATES = 3_000_000
 MAX_PATCH_POINTS = 100_000
 """Patches with more accepted points than this are refused, to bound the
 output and its memory: a patch file takes about 110 bytes per H4 point,
-and reading it back holds the parsed rows and the rows the writer gives
-for them at once, about 1.6 kB an H4 point."""
+and reading it back regenerates the patch and holds the file's bytes and
+the writer's at once, about 0.85 kB an H4 point at the peak."""
 
 
 def _widest_level(diag: np.ndarray, bound: float) -> float:
@@ -150,6 +150,8 @@ at the 2.3e7 pairs per second of a 2-vCPU VM."""
 
 MAX_CHUNK_PHASES = 1 << 20  # phases held at once
 
+MAX_PHASE = 2.0 ** 53  # a float phase this large has no fractional part
+
 
 def structure_factor_sum(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Normalized |sum exp(i k.x)|^2 / N^2 for each row k of ks.
@@ -157,7 +159,8 @@ def structure_factor_sum(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
     The k vectors go in even chunks of at most MAX_CHUNK_PHASES phases and
     of two k or more: numpy sums one column pairwise but wider ones row by
     row, so each k is summed alike wherever the chunks fall.  More than
-    MAX_PAIRS pairs is a DomainError, raised before any phase is computed.
+    MAX_PAIRS pairs, or phases that could pass MAX_PHASE (d * max|k| * max|x|
+    does), is a DomainError, raised before any phase is computed.
     """
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
@@ -169,6 +172,11 @@ def structure_factor_sum(points: np.ndarray, ks: np.ndarray) -> np.ndarray:
             f"structure factors of {n} points at {m} k vectors would sum "
             f"{n * m:.3g} phases, over the limit of {MAX_PAIRS:.3g}; "
             "use fewer k vectors or a smaller patch")
+    phase = points.shape[1] * float(np.abs(ks).max(initial=0)) * float(np.abs(points).max())
+    if phase > MAX_PHASE:
+        raise DomainError(
+            f"phases k.x could reach {phase:.3g}, past {MAX_PHASE:.3g}, where a "
+            "float has no fractional part; use smaller k vectors")
     width = max(1, MAX_CHUNK_PHASES // n)
     chunks = max(1, min(-(-m // width), m // 2))
     return np.concatenate([_intensities(points, part)

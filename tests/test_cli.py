@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -353,7 +357,7 @@ _HEADER = ("# target,H3-bcc,window,cell,scale,1.0,radius,3.0\n"
 
 
 @pytest.mark.parametrize("content,line", [
-    ("", 0),
+    ("", 1),
     (_HEADER + "0,0,abc,0,0,0,0,0,0,0,0,0\n", 3),
     (_HEADER.encode() + b"0,0,\xff,0,0,0,0,0,0,0,0,0\n", 3),
     (b"\xc3\x28" + _HEADER.encode(), 1),
@@ -401,6 +405,26 @@ def test_diffract_refuses_non_finite_k_vectors(capsys, tmp_path, k_list):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k_list,detail", [
+    ("[[1" + "0" * 400 + ", 0, 0]]", "3-component"),
+    ("[[1e308, 0, 0]]", "fractional part"),
+], ids=["past-float-range", "past-2**53-phases"])
+def test_diffract_refuses_k_vectors_too_large(capsys, tmp_path, k_list, detail):
+    patch = _patch_file(capsys, tmp_path)
+    klist = tmp_path / "k.json"
+    klist.write_text(k_list)
+    out = tmp_path / "i.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["diffract", "--in", str(patch), "--k-list", str(klist),
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and detail in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_diffract_refuses_a_patch_without_points(capsys, tmp_path):
     patch = tmp_path / "patch.csv"
     patch.write_text("# target,H3-bcc,window,cell,scale,1.0,radius,3.0\n"
@@ -412,7 +436,8 @@ def test_diffract_refuses_a_patch_without_points(capsys, tmp_path):
                  "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error:") and "empty patch" in captured.err
+    # every generated patch holds the origin, so its first point is missing
+    assert captured.err.startswith(f"error: {patch}, line 3: not a patch file")
     assert captured.err.count("\n") == 1
     assert not out.exists()
 
@@ -486,6 +511,8 @@ BAD_ARGUMENTS = {
                             {"patch.csv": _HEADER.encode() + b"1" * 140_000}),
     "diffract-nested-k": (_DIFFRACT, {"k.json": b"[" * 100_000 + b"]" * 100_000}),
     "diffract-nan-k": (_DIFFRACT, {"k.json": b"[[0, NaN, 0]]"}),
+    "diffract-huge-int-k": (_DIFFRACT, {"k.json": b"[[1" + b"0" * 400 + b", 0, 0]]"}),
+    "diffract-huge-k": (_DIFFRACT, {"k.json": b"[[1e308, 0, 0]]"}),
     "diffract-empty-k": (_DIFFRACT, {"k.json": b""}),
     "diffract-wrong-length-k": (_DIFFRACT, {"k.json": b"[[1, 2]]"}),
     "diffract-empty-patch": (_DIFFRACT, {"patch.csv": b""}),
@@ -517,3 +544,15 @@ def test_bad_arguments_end_in_one_line(capsys, tmp_path, argv, files):
     assert "Traceback" not in captured.err
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "i.csv").exists()
+
+
+def test_python_dash_m_qlat_runs_the_cli():
+    import qlat
+
+    src = os.path.dirname(os.path.dirname(qlat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "qlat", "verify", "--table1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "7/7 pass"

@@ -421,36 +421,55 @@ def _bcc_patch_file(tmp_path):
     return patch, path, path.read_bytes().decode().split("\r\n")[:-1]
 
 
-def test_patch_csv_reads_lf_endings_and_quoted_fields(tmp_path):
+MISMATCH = ("not a patch file: the line is not the one written for the patch "
+            "the metadata row names")
+
+
+def test_patch_csv_reads_lf_endings(tmp_path):
     patch, path, lines = _bcc_patch_file(tmp_path)
     path.write_text("\n".join(lines) + "\n", newline="")
-    assert read_patch_csv(str(path)).coeffs.tobytes() == patch.coeffs.tobytes()
-    head, last = lines[4].rsplit(",", 1)
-    lines[4] = f'{head},"{last}"'
-    path.write_text("\r\n".join(lines) + "\r\n", newline="")
     back = read_patch_csv(str(path))
     assert back.coeffs.tobytes() == patch.coeffs.tobytes()
     assert back.points.tobytes() == patch.points.tobytes()
 
 
-def test_header_only_patch_file_reads_as_an_empty_patch(tmp_path):
+def test_crlf_patch_file_is_compared_without_normalising(tmp_path, monkeypatch):
+    _, path, lines = _bcc_patch_file(tmp_path)
+    normalised = []
+
+    class Rendered(bytes):
+        def replace(self, *args):
+            normalised.append(args)
+            return bytes.replace(self, *args)
+
+    text = cutproject._text
+    monkeypatch.setattr(cutproject, "_text", lambda patch: Rendered(text(patch)))
+    read_patch_csv(str(path))
+    assert normalised == []
+    path.write_text("\n".join(lines) + "\n", newline="")
+    read_patch_csv(str(path))
+    assert normalised == [(b"\r\n", b"\n")]
+
+
+def test_header_only_patch_file_is_refused(tmp_path):
+    # every generated patch holds the origin, so its first point is missing
     _, path, lines = _bcc_patch_file(tmp_path)
     path.write_text("\r\n".join(lines[:2]) + "\r\n", newline="")
-    back = read_patch_csv(str(path))
-    assert back.size == 0 and back.coeffs.shape == (0, 6) and back.points.shape == (0, 3)
-    write_patch_csv(back, str(tmp_path / "again.csv"))
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    with pytest.raises(DomainError) as err:
+        read_patch_csv(str(path))
+    assert str(err.value) == f"{path}, line 3: {MISMATCH}"
 
 
-@pytest.mark.parametrize("cut,line,detail", [
+@pytest.mark.parametrize("cut,line,defect", [
     ("fraction", 5, "coefficient '1.5' is not a 64-bit integer"),
     ("short", 4, "expected 12 fields, found 5"),
     ("extra", None, "expected 12 fields, found 3"),
     ("blank", None, "expected 12 fields, found 0"),
     ("extra-point", None, "not the one written"),
     ("numerators", 6, "too large for 64-bit numerators"),
+    ("quoted", 5, "a quoted field, which the writer never writes"),
 ])
-def test_malformed_patch_csv_names_the_line(tmp_path, cut, line, detail):
+def test_malformed_patch_csv_names_the_line(tmp_path, cut, line, defect):
     _, path, lines = _bcc_patch_file(tmp_path)
     end = len(lines) + 1
     if cut == "fraction":
@@ -464,21 +483,23 @@ def test_malformed_patch_csv_names_the_line(tmp_path, cut, line, detail):
     elif cut == "extra-point":
         # a valid row's coefficients with its first float changed
         lines.append("9" + lines[2])
+    elif cut == "quoted":
+        head, last = lines[4].rsplit(",", 1)
+        lines[4] = f'{head},"{last}"'
     else:
         lines[5] = lines[5].rsplit(",", 1)[0] + "," + str(10**18)
     path.write_text("\r\n".join(lines) + "\r\n", newline="")
     with pytest.raises(DomainError) as err:
         read_patch_csv(str(path))
-    assert str(err.value).startswith(f"{path}, line {line or end}: not a patch file")
-    assert detail in str(err.value)
+    assert str(err.value) == f"{path}, line {line or end}: {MISMATCH}", defect
 
 
-@pytest.mark.parametrize("cut,line,detail", [
+@pytest.mark.parametrize("cut,line,defect", [
     ("repeat-last", None, "repeats the one before it"),
     ("repeat-first", None, "is out of the writer's order"),
-    ("reversed", 4, "is out of the writer's order"),
+    ("reversed", 3, "is out of the writer's order"),
 ])
-def test_repeated_or_reordered_points_are_refused(tmp_path, cut, line, detail):
+def test_repeated_or_reordered_points_are_refused(tmp_path, cut, line, defect):
     _, path, lines = _bcc_patch_file(tmp_path)
     end = len(lines) + 1
     if cut == "repeat-last":
@@ -490,7 +511,68 @@ def test_repeated_or_reordered_points_are_refused(tmp_path, cut, line, detail):
     path.write_text("\r\n".join(lines) + "\r\n", newline="")
     with pytest.raises(DomainError) as err:
         read_patch_csv(str(path))
-    assert str(err.value) == f"{path}, line {line or end}: not a patch file: the point {detail}"
+    assert str(err.value) == f"{path}, line {line or end}: {MISMATCH}", defect
+
+
+@pytest.mark.parametrize("drop", [2, 17, -1])
+def test_dropped_point_line_is_refused(tmp_path, drop):
+    _, path, lines = _bcc_patch_file(tmp_path)
+    line = len(lines) if drop == -1 else drop + 1
+    del lines[drop]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    with pytest.raises(DomainError) as err:
+        read_patch_csv(str(path))
+    assert str(err.value) == f"{path}, line {line}: {MISMATCH}"
+
+
+def test_edited_metadata_row_is_refused(tmp_path):
+    # the points of the radius 4 cell patch, under the metadata row of a
+    # radius 3 ball patch that leaves out some of them
+    path = tmp_path / "patch.csv"
+    patch = generate_patch(embedding("H3-primitive"), Window("cell"), 4.0)
+    write_patch_csv(patch, str(path))
+    lines = path.read_bytes().decode().split("\r\n")
+    lines[0] = "# target,H3-primitive,window,ball,scale,0.5,radius,3.0"
+    path.write_text("\r\n".join(lines), newline="")
+    assert np.linalg.norm(patch.points, axis=1).max() > 3
+    with pytest.raises(DomainError) as err:
+        read_patch_csv(str(path))
+    assert MISMATCH in str(err.value)
+
+
+@pytest.mark.parametrize("edit", [
+    ("scale,1.0", "scale,1"), ("radius,3.0", "radius,3.00"),
+    ("# target", "#target"), ("radius,3.0", "radius, 3.0"),
+], ids=["scale-1", "radius-3.00", "label", "space"])
+def test_metadata_row_is_compared_with_the_writer_s(tmp_path, edit):
+    # each edited row still names the same patch, but not in the writer's bytes
+    patch, path, lines = _bcc_patch_file(tmp_path)
+    assert edit[0] in lines[0]
+    lines[0] = lines[0].replace(*edit)
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    with pytest.raises(DomainError) as err:
+        read_patch_csv(str(path))
+    assert str(err.value) == f"{path}, line 1: {MISMATCH}"
+
+
+@pytest.mark.parametrize("head", [True, False], ids=["after-the-header", "first-line"])
+def test_junk_is_refused_without_reading_it(tmp_path, head):
+    import tracemalloc
+
+    _, path, lines = _bcc_patch_file(tmp_path)
+    with open(path, "wb") as fh:
+        if head:
+            fh.write(("\r\n".join(lines[:3]) + "\r\n").encode())
+        for _ in range(20):
+            fh.write(b"7" * (1 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="not a patch file"):
+            read_patch_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("cut", ["header", "field", "exact", "huge", "disagree"])

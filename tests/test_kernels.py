@@ -219,6 +219,19 @@ def test_structure_factor_refuses_too_many_pairs_before_any_phase(monkeypatch):
     assert kernels.MAX_PAIRS < 100_000 * 20_000
 
 
+def test_structure_factor_refuses_phases_past_2_53_before_any_phase(monkeypatch):
+    # d * max|k| * max|x| bounds every phase; at the bound the sum goes ahead
+    points = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0]])
+    sizes = _chunk_sizes(monkeypatch)
+    bound = kernels.MAX_PHASE / (3 * 2.0)
+    assert np.isfinite(kernels.structure_factor_sum(points, [[bound, 0, 0]])).all()
+    assert sizes == [2]
+    for ks in ([[1e308, 0, 0]], [[0, 0, -bound * 1.0001]], [[1, 1, 1], [0, bound * 2, 0]]):
+        with pytest.raises(DomainError, match="fractional part"):
+            kernels.structure_factor_sum(points, ks)
+    assert sizes == [2]
+
+
 def test_structure_factor_periodic_chain():
     # integer points diffract perfectly at multiples of 2*pi
     points = np.arange(10.0)[:, None]
