@@ -1,8 +1,8 @@
 """Time the three numpy kernels, the integer-backed group and quaternion
 paths, exact vector and ring arithmetic, reflection matrices, the cold
-build of the six exact root systems and of the seven modules, the scalar
-module coordinates and the patch path (generate, exact points, write,
-read).
+build of the exact root systems, of the seven modules and of the E8
+roots, the scalar module coordinates and the patch path (generate, exact
+points, write, read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
@@ -167,18 +167,31 @@ def bench_membership(name):
 
 
 def bench_root_build():
-    """roots and simple_roots of the six exact systems built afresh: the
-    simple roots and their closure under the simple reflections."""
-    from qlat.roots import H3, H4, I2, roots, simple_roots
+    """roots and simple_roots of the six exact systems, and of the four I2
+    systems alone, built afresh with their Gram rows: the simple roots and
+    their closure under the simple reflections."""
+    from qlat.roots import H3, H4, I2, gram, roots, simple_roots
 
-    systems = (I2(5), I2(8), I2(10), I2(12), H3, H4)
+    dihedral = (I2(5), I2(8), I2(10), I2(12))
 
-    def cold():
-        roots.cache_clear()
-        simple_roots.cache_clear()
+    def cold(systems):
+        for cached in (roots, simple_roots, gram):
+            cached.cache_clear()
         return [(roots(s), simple_roots(s)) for s in systems]
 
-    return "roots + simple_roots, six systems, cold", cold
+    return [("roots + simple_roots, six systems, cold", partial(cold, dihedral + (H3, H4))),
+            ("roots + simple_roots, four I2, cold", partial(cold, dihedral))]
+
+
+def bench_e8_roots():
+    """The 240 E8 roots enumerated afresh from the E8 Gram matrix."""
+    from qlat.cutproject import e8_roots
+
+    def cold():
+        e8_roots.cache_clear()
+        return e8_roots()
+
+    return "e8_roots, cold (240)", cold
 
 
 def bench_module_build():
@@ -245,7 +258,8 @@ def main():
         bench_orbit_h4, bench_quaternion_maps, bench_quaternion_map_builds,
         bench_apply_h4, bench_icosian_products,
         partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
-        bench_root_build, bench_module_build, bench_from_basis_coefficients_h4)]
+        bench_module_build, bench_e8_roots, bench_from_basis_coefficients_h4)]
+    benches += bench_root_build()
     benches += bench_vector_arithmetic()
     benches += bench_ring_arithmetic()
     benches += bench_reflection_matrices()

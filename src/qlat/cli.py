@@ -180,7 +180,9 @@ def _read_k_list(path: str, dim: int) -> np.ndarray:
         try:
             data = json.load(fh)
             ks = np.array(data["k"] if isinstance(data, dict) else data, dtype=float)
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        except OverflowError:
+            raise DomainError(f"{path}: a k component is past the float range") from None
+        except (KeyError, TypeError, ValueError, RecursionError):
             ks = None
     if ks is None or ks.ndim != 2 or ks.shape[1] != dim:
         raise DomainError(f"{path}: expected a JSON list of {dim}-component k vectors")

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import kernels
 from .modules import QLModule, ql
-from .quaternions import unit_icosians
-from .ring import DomainError, QuadraticRingElement, tau
+from .ring import DomainError, QuadraticRingElement
 from .textio import format_numerators
 from .vectors import ExactVector
 
@@ -91,21 +90,15 @@ def e8_gram() -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def e8_roots() -> tuple[tuple[int, ...], ...]:
-    """The 240 norm-2 source vectors, as integer generator coefficients.
-
-    Their parallel images are the 120 unit icosians together with the
-    120 quaternions (tau - 1) * (unit icosian).
+    """The 240 norm-2 source vectors, as integer generator coefficients in
+    lexicographic order: the points of c.G.c <= 2 for the E8 Gram matrix G,
+    enumerated as patches are, with c.G.c = 2 exactly.  Their parallel images
+    are the 120 unit icosians and the 120 quaternions (tau - 1) * (unit icosian).
     """
-    qlm = ql("H4")
-    t = tau()
-    shells = [unit_icosians(), [u.scale(t - 1) for u in unit_icosians()]]
-    out = []
-    for shell in shells:
-        for v in shell:
-            coeffs = qlm.basis_coefficients(v)
-            assert all(c.denominator == 1 for c in coeffs)
-            out.append(tuple(c.numerator for c in coeffs))
-    return tuple(out)
+    g = e8_gram()
+    points = kernels.ellipsoid_points(np.linalg.cholesky(g).T, 2.0)
+    norms = np.einsum("ni,ij,nj->n", points, g, points)
+    return tuple(sorted(map(tuple, points[norms == 2].tolist())))
 
 
 # -- patch generation ---------------------------------------------------
@@ -282,7 +275,10 @@ def read_patch_csv(path: str) -> Patch:
     try:
         with open(path, "rb") as fh:
             head = fh.readline(1024)  # a metadata row is under 120 bytes
-            _, target, _, shape, _, scale, _, radius = head.decode().split(",")
+            fields = head.decode().split(",")
+            if len(fields) != 8:
+                raise ValueError(f"the metadata row has {len(fields)} fields, not 8")
+            _, target, _, shape, _, scale, _, radius = fields
             patch = generate_patch(embedding(target), Window(shape, float(scale)),
                                    float(radius))
             want = _text(patch)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .quaternions import GoldenQuaternion, qconj, qmul, require_unit, unit_icosians
-from .ring import DomainError, QuadraticRingElement, common_radicand, radicand
+from .ring import DomainError, QuadraticRingElement, common_radicand, radicand, signed_squares
 from .roots import RootSystemId, gram, is_quadratic, kappa_of, root_count, simple_roots
 from .vectors import ExactVector, reflect
 
@@ -265,14 +265,6 @@ def _cartan(simple, g) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(len(simple), len(simple), 2)
 
 
-def _positive(a: np.ndarray, kappa: int) -> np.ndarray:
-    """Whether (p + q*sqrt(kappa))/2 > 0 for p, q = a[0], a[1], decided in
-    integers: x -> x|x| increases, so p > -q*sqrt(kappa) exactly when
-    p|p| > -kappa*q|q|."""
-    signed_squares = a * np.abs(a)
-    return signed_squares[0] + kappa * signed_squares[1] > 0
-
-
 def _numbers_game(gens: list[GroupElement], cartan: np.ndarray, kappa: int,
                   max_levels: int) -> np.ndarray:
     """Every product of the reflections gens in the simple roots of the
@@ -314,7 +306,7 @@ def _numbers_game(gens: list[GroupElement], cartan: np.ndarray, kappa: int,
         a = a[:, rows] - (step >> 1)
         if int(np.abs(a).max(initial=0)) > bound:
             raise ArithmeticError("closure values outgrew int64")
-        positive = _positive(a, kappa)
+        positive = signed_squares(a[0], a[1], kappa) > 0
         keep = (positive | later[moves]).all(axis=1)
         if not keep.any():
             break

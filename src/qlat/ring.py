@@ -43,6 +43,13 @@ def common_radicand(operands) -> int:
     return 5 if kappa is None else kappa
 
 
+def signed_squares(p, q, kappa: int):
+    """p|p| + kappa*q|q|, for ints or int arrays p and q: it has the sign
+    of p + q*sqrt(kappa), since x -> x|x| increases, so p > -q*sqrt(kappa)
+    exactly when p|p| > -kappa*q|q|."""
+    return p * abs(p) + kappa * q * abs(q)
+
+
 def _squarefree(n: int) -> bool:
     if n < 1:
         return False
@@ -205,20 +212,9 @@ class QuadraticRingElement:
     # -- comparisons ---------------------------------------------------
 
     def _sign(self) -> int:
-        # sign of p + q*sqrt(kappa); den > 0 by canonical form
-        p, q, k = self.p, self.q, self.kappa
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 with q^2 * kappa
-        if p > 0:
-            return 1 if p * p > q * q * k else -1
-        return -1 if p * p > q * q * k else 1
+        # the sign of p + q*sqrt(kappa); den > 0 by canonical form
+        s = signed_squares(self.p, self.q, self.kappa)
+        return (s > 0) - (s < 0)
 
     def __eq__(self, other):
         o = self._coerce(other) if not isinstance(other, QuadraticRingElement) else other

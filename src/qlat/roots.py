@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ring import DomainError, QuadraticRingElement, tau
-from .vectors import ExactVector
+from .vectors import ExactVector, gram_product
 
 #: I2(n) whose coordinate ring is a real quadratic ring, keyed to kappa.
 QUADRATIC_I2 = {5: 5, 8: 2, 10: 5, 12: 3}
@@ -94,33 +94,22 @@ def kappa_of(system: RootSystemId) -> int:
 
 
 def _i2_params(system: RootSystemId):
-    """(zeta order m, ring count, c = 2*cos(2*pi/m) exact) for quadratic I2(n)."""
-    n = system.n
-    if n % 2 == 1:
-        m = 2 * n  # roots are the 2n-th roots of unity
-    else:
-        m = n
-    k = kappa_of(system)
-    # c = 2*cos(2*pi/m) for the supported m in {8, 10, 12, 20?}
-    if m == 10:
-        c = tau()
-    elif m == 8:
-        c = QuadraticRingElement(0, 1, 2)
-    elif m == 12:
-        c = QuadraticRingElement(0, 1, 3)
-    else:
-        raise DomainError(f"no exact arithmetic for I2({n})")
-    return m, c, k
+    """(m, c, kappa) for quadratic I2(n): the order m of zeta, c = 2*cos(2*pi/m)
+    exactly (tau for kappa = 5, sqrt(kappa) for 2 and 3) and the radicand kappa."""
+    n, k = system.n, kappa_of(system)
+    m = 2 * n if n % 2 else n  # for odd n the roots are the 2n-th roots of unity
+    return m, tau() if k == 5 else QuadraticRingElement(0, 1, k), k
 
 
-def gram(system: RootSystemId):
-    """Gram matrix of the coordinate basis (None = orthonormal)."""
+@lru_cache(maxsize=None)
+def gram(system: RootSystemId) -> Optional[tuple[ExactVector, ...]]:
+    """The rows of the Gram matrix [[1, c/2], [c/2, 1]] of the oblique basis,
+    built once, or None (orthonormal) for H3 and H4; g[i][j] is a ring element."""
     if system.family in ("H3", "H4"):
         return None
-    m, c, k = _i2_params(system)
-    one = QuadraticRingElement(1, 0, k)
-    half_c = c / 2
-    return ((one, half_c), (half_c, one))
+    _, c, k = _i2_params(system)
+    one, half_c = QuadraticRingElement(1, 0, k), c / 2
+    return ExactVector((one, half_c)), ExactVector((half_c, one))
 
 
 @lru_cache(maxsize=None)
@@ -158,13 +147,13 @@ def roots(system: RootSystemId):
     if is_quadratic(system):
         g = gram(system)
         simple = simple_roots(system)
-        # vectors.reflect, v -> v - <v, a> c a, with c = 2/<a, a> taken once
-        mirrors = [(a, 2 / a.dot(a, g)) for a in simple]
+        # vectors.reflect, v -> v - <v, a> c a, with G a and c = 2/<a, a> taken once
+        mirrors = [(a, gram_product(g, a), 2 / a.dot(a, g)) for a in simple]
         found = list(simple)
         seen = set(found)
         for v in found:  # found grows as it is read: a breadth-first closure
-            for a, c in mirrors:
-                w = v - a.scale(v.dot(a, g) * c)
+            for a, ga, c in mirrors:
+                w = v - a.scale(v.dot(ga) * c)
                 if w not in seen:
                     seen.add(w)
                     found.append(w)
@@ -173,20 +162,11 @@ def roots(system: RootSystemId):
     if 2 * n > MAX_FLOAT_ROOTS:
         raise DomainError(f"{system} has {2 * n} roots, over the limit of "
                           f"{MAX_FLOAT_ROOTS} float roots")
-    angles = (
-        [math.pi * k / n for k in range(2 * n)]
-        if n % 2 == 1
-        else [2 * math.pi * k / n for k in range(n)]
-    )
+    angles = ([math.pi * k / n for k in range(2 * n)] if n % 2 == 1
+              else [2 * math.pi * k / n for k in range(n + 1)])
     out = [np.array([math.cos(a), math.sin(a)]) for a in angles]
-    if n % 2 == 0:
-        out += [
-            np.array([
-                math.cos(2 * math.pi * k / n) + math.cos(2 * math.pi * (k + 1) / n),
-                math.sin(2 * math.pi * k / n) + math.sin(2 * math.pi * (k + 1) / n),
-            ])
-            for k in range(n)
-        ]
+    if n % 2 == 0:  # the n-th roots of unity zeta^k, then the sums zeta^k + zeta^(k+1)
+        out = out[:n] + [out[k] + out[k + 1] for k in range(n)]
     return tuple(out)
 
 

@@ -9,7 +9,6 @@ with quadratic coordinates, so those vectors live in an oblique basis
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 
 from .ring import DomainError, QuadraticRingElement, common_radicand, radicand
 
-Gram = Optional[Sequence[Sequence[QuadraticRingElement]]]
+Gram = Optional[Sequence["ExactVector"]]
 
 
 class ExactVector:
@@ -150,10 +149,8 @@ class ExactVector:
             self.form[:d] + tuple(-q for q in self.form[d:]), self.den, self.kappa)
 
     def dot(self, other: "ExactVector", gram: Gram = None) -> QuadraticRingElement:
-        """<self, other>: with a Gram matrix, the Gram-free dot of self with
-        gram @ other, taken in integers."""
-        if gram is not None:
-            other = _gram_image(gram, other)
+        """<self, other>: the plain dot of self with gram @ other."""
+        other = gram_product(gram, other)
         kappa = self._match(other)
         d = self.dim
         p, q, r, s = self.form[:d], self.form[d:], other.form[:d], other.form[d:]
@@ -171,32 +168,9 @@ class ExactVector:
         return "%s(%s)" % (type(self).__name__, ", ".join(repr(c) for c in self.coords))
 
 
-@lru_cache(maxsize=None)
-def _gram_form(gram) -> tuple:
-    """(rows, den, kappa, irrational) of the Gram matrix gram: row i is the
-    pair (x, y) of numerator tuples of its entries (x_j + y_j*sqrt(kappa))/den."""
-    cells = [c for row in gram for c in row]
-    den = lcm(*(c.den for c in cells))
-    rows = tuple((tuple(c.p * (den // c.den) for c in row),
-                  tuple(c.q * (den // c.den) for c in row)) for row in gram)
-    return rows, den, common_radicand((c.kappa, c.q != 0) for c in cells), any(
-        c.q for c in cells)
-
-
-def _gram_image(gram, v: ExactVector) -> ExactVector:
-    """gram @ v from the integer forms: row (x + y*r) meets (p + q*r) as
-    x.p + kappa*y.q and (x.q + y.p)*r, for r = sqrt(kappa)."""
-    rows, den, kappa, irrational = _gram_form(tuple(map(tuple, gram)))
-    d = v.dim
-    if len(rows) != d:
-        raise DomainError("dimension mismatch")
-    if kappa != v.kappa:
-        kappa = radicand(kappa, irrational, v.kappa, v._irrational())
-    p, q = v.form[:d], v.form[d:]
-    return ExactVector.from_numerators(
-        [sum(map(mul, x, p)) + kappa * sum(map(mul, y, q)) for x, y in rows]
-        + [sum(map(mul, x, q)) + sum(map(mul, y, p)) for x, y in rows],
-        den * v.den, kappa)
+def gram_product(gram: Gram, v: ExactVector) -> ExactVector:
+    """gram @ v, as the plain dots of v with the rows of gram; v when gram is None."""
+    return v if gram is None else ExactVector([row.dot(v) for row in gram])
 
 
 def reflect(v: ExactVector, r: ExactVector, gram: Gram = None) -> ExactVector:

@@ -362,7 +362,9 @@ _HEADER = ("# target,H3-bcc,window,cell,scale,1.0,radius,3.0\n"
     (_HEADER.encode() + b"0,0,\xff,0,0,0,0,0,0,0,0,0\n", 3),
     (b"\xc3\x28" + _HEADER.encode(), 1),
     (_HEADER + "0," + "1" * 140_000 + "\n", 3),
-], ids=["empty", "bad-row", "not-utf8", "not-utf8-first-byte", "over-long-field"])
+    ("# target,H3-bcc,window\n" + _HEADER.split("\n", 1)[1], 1),
+], ids=["empty", "bad-row", "not-utf8", "not-utf8-first-byte", "over-long-field",
+        "three-field-row"])
 def test_diffract_rejects_malformed_patch_file(capsys, tmp_path, content, line):
     patch = tmp_path / "patch.csv"
     patch.write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -406,7 +408,7 @@ def test_diffract_refuses_non_finite_k_vectors(capsys, tmp_path, k_list):
 
 
 @pytest.mark.parametrize("k_list,detail", [
-    ("[[1" + "0" * 400 + ", 0, 0]]", "3-component"),
+    ("[[1" + "0" * 400 + ", 0, 0]]", "past the float range"),
     ("[[1e308, 0, 0]]", "fractional part"),
 ], ids=["past-float-range", "past-2**53-phases"])
 def test_diffract_refuses_k_vectors_too_large(capsys, tmp_path, k_list, detail):

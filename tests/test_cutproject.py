@@ -451,6 +451,19 @@ def test_crlf_patch_file_is_compared_without_normalising(tmp_path, monkeypatch):
     assert normalised == [(b"\r\n", b"\n")]
 
 
+@pytest.mark.parametrize("head,count", [
+    ("", 1), ("# target,H3-bcc,window", 3),
+    ("# target,H3-bcc,window,cell,scale,1.0,radius,3.0,extra", 9),
+], ids=["empty", "three-fields", "nine-fields"])
+def test_metadata_row_field_count_is_named(tmp_path, head, count):
+    _, path, lines = _bcc_patch_file(tmp_path)
+    path.write_text("\r\n".join([head] + lines[1:]) + "\r\n" if head else "", newline="")
+    with pytest.raises(DomainError) as err:
+        read_patch_csv(str(path))
+    assert str(err.value) == (f"{path}, line 1: not a patch file: "
+                              f"the metadata row has {count} fields, not 8")
+
+
 def test_header_only_patch_file_is_refused(tmp_path):
     # every generated patch holds the origin, so its first point is missing
     _, path, lines = _bcc_patch_file(tmp_path)

@@ -2,6 +2,7 @@
 quaternion-pair realization of the largest group."""
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from qlat.groups import (
 )
 from qlat.modules import ql
 from qlat.quaternions import GoldenQuaternion, unit_icosians
-from qlat.ring import DomainError, QuadraticRingElement, tau
+from qlat.ring import DomainError, QuadraticRingElement, signed_squares, tau
 from qlat.roots import H3, H4, I2, gram, kappa_of, roots, simple_roots
 from qlat.vectors import ExactVector, reflect
 
@@ -473,5 +474,11 @@ def test_closure_refuses_an_odd_a_product_and_int64_overflow():
 @example(5, -2889, 1292)
 @example(5, 0, 0)
 def test_closure_sign_test_is_exact(kappa, p, q):
-    want = QuadraticRingElement(p, q, kappa) > 0
-    assert groups._positive(np.array([[p], [q]]), kappa)[0] == want
+    """The closure's descent test and the order of ring elements share
+    signed_squares; a 40-digit decimal decides the sign of p + q*sqrt(kappa)
+    exactly for |p|, |q| <= 10**9, where a non-zero value passes 10**-10."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = Decimal(p) + Decimal(q) * Decimal(kappa).sqrt() > 0
+    assert (QuadraticRingElement(p, q, kappa) > 0) == want
+    assert (signed_squares(np.array([p]), np.array([q]), kappa)[0] > 0) == want

@@ -170,13 +170,16 @@ def test_simple_roots_have_coxeter_angles(system, chain):
 
 @pytest.mark.parametrize("system", QUAD_SYSTEMS + [I2(7)], ids=str)
 def test_root_lists_are_shared_tuples(system):
-    """roots and simple_roots hand every caller the same cached result, so
-    it is a tuple: no caller can reorder or extend what generate reads."""
+    """roots, simple_roots and gram hand every caller the same cached
+    result, so it is a tuple: no caller can reorder or extend what generate
+    reads."""
     rs = roots(system)
     assert isinstance(rs, tuple) and rs is roots(system)
     with pytest.raises(AttributeError):
         rs.sort()
     if is_quadratic(system):
+        g = gram(system)  # None for H3 and H4
+        assert g is gram(system) and isinstance(g, (tuple, type(None)))
         simple = simple_roots(system)
         assert isinstance(simple, tuple)
         with pytest.raises(AttributeError):

@@ -98,8 +98,11 @@ def test_sqrt2_and_sqrt5_vectors_refuse_to_combine():
     half2, half5 = (QuadraticRingElement(1, 0, k, 2) for k in (2, 5))
     assert ExactVector((half2, 0)) == ExactVector((half5, 0))
     assert hash(ExactVector((half2, 0))) == hash(ExactVector((half5, 0)))
-    with pytest.raises(DomainError, match="dimension"):
-        a + ExactVector((1, 2, 3))
+    # a 3-vector meets neither a 2-vector nor the rows of a 2D Gram matrix
+    g, u, w = gram(I2(5)), ExactVector((1, tau())), ExactVector((1, 2, tau()))
+    for op in (lambda: a + w, lambda: w.dot(w, g), lambda: u.dot(w, g), lambda: w.dot(u, g)):
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            op()
     with pytest.raises(TypeError):
         a.scale(0.5)
 
