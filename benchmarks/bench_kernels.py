@@ -1,13 +1,14 @@
 """Time the three numpy kernels, the integer-backed group and quaternion
-paths, exact vector and ring arithmetic, reflection matrices, the cold
-build of the exact root systems, of the seven modules and of the E8
-roots, the scalar module coordinates and the patch path (generate, exact
-points, write, read).
+paths, group membership, exact vector and ring arithmetic, reflection
+matrices, the cold build of the exact root systems, of the seven modules
+and of the E8 roots, the scalar module coordinates and the patch path
+(generate, exact points, write, read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
 1000 calls, so their milliseconds read as microseconds per call.  The
-read_patch_csv lines also give the tracemalloc peak of one more call.
+read_patch_csv lines and the cold H4 group with one element read also
+give the tracemalloc peak of one more call.
 """
 
 import os
@@ -20,6 +21,10 @@ from functools import partial
 import numpy as np
 
 from qlat import kernels
+
+
+#: The lines that also give the tracemalloc peak of one more call.
+PEAK_LABELS = ("read_patch_csv", "generate(H4).elements[k]")
 
 
 def timeit(fn, repeat=5):
@@ -61,16 +66,25 @@ def bench_ellipsoid_points():
 
 
 def bench_structure_factor():
+    """Random points, and the points of the H4 ball patch of radius 5
+    (9481 points, centrally symmetric) at 300 k vectors with |k| in [1, 4]."""
+    from qlat.cutproject import Window, embedding, generate_patch
+
     rng = np.random.default_rng(1)
     points = rng.normal(size=(4000, 3))
     ks = rng.normal(size=(50, 3))
-    return ("structure_factor_sum (4000 pts x 50 k)",
-            lambda: kernels.structure_factor_sum(points, ks))
+    patch = generate_patch(embedding("H4"), Window("ball"), 5.0)
+    dirs = rng.normal(size=(300, 4))
+    k300 = rng.uniform(1.0, 4.0, size=(300, 1)) * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    return [("structure_factor_sum (4000 pts x 50 k)",
+             lambda: kernels.structure_factor_sum(points, ks)),
+            ("structure_factor_sum (H4 ball 5 x 300 k)",
+             lambda: kernels.structure_factor_sum(patch.points, k300))]
 
 
 def bench_generate():
-    """The cold closures of H3, I2-12 and H4, and of H4 with its element
-    objects built: the small groups show the per-level overhead."""
+    """The cold closures of H3, I2-12 and H4, and of H4 with one element
+    read: the small groups show the per-level overhead."""
     from qlat.groups import generate
     from qlat.roots import H3, H4, I2
 
@@ -81,7 +95,19 @@ def bench_generate():
     return [("generate(H3), cold (120)", partial(cold, H3)),
             ("generate(I2-12), cold (24)", partial(cold, I2(12))),
             ("generate(H4), cold (14400)", partial(cold, H4)),
-            ("generate(H4).elements, cold (14400)", lambda: cold(H4).elements)]
+            ("generate(H4).elements[k], cold", lambda: cold(H4).elements[9000])]
+
+
+def bench_group_membership():
+    """g in generate(H4) for 500 elements and 500 scaled elements, with the
+    group's set of row bytes built before timing."""
+    from qlat.groups import GroupElement, generate
+    from qlat.roots import H4
+
+    group = generate(H4)
+    picks = random.Random(0).sample(group.elements, 1000)
+    queries = picks[:500] + [GroupElement._wrap(2 * g.numerators, 4, 5) for g in picks[500:]]
+    return "g in generate(H4), 1000 calls", lambda: [g in group for g in queries]
 
 
 def bench_orbit_h4():
@@ -251,11 +277,11 @@ def bench_patches(workdir):
 
 
 def main():
-    benches = [bench() for bench in (
-        bench_quad_matmul, bench_ellipsoid_points, bench_structure_factor)]
+    benches = [bench() for bench in (bench_quad_matmul, bench_ellipsoid_points)]
+    benches += bench_structure_factor()
     benches += bench_generate()
     benches += [bench() for bench in (
-        bench_orbit_h4, bench_quaternion_maps, bench_quaternion_map_builds,
+        bench_group_membership, bench_orbit_h4, bench_quaternion_maps, bench_quaternion_map_builds,
         bench_apply_h4, bench_icosian_products,
         partial(bench_membership, "H3-fcc"), partial(bench_membership, "H4"),
         bench_module_build, bench_e8_roots, bench_from_basis_coefficients_h4)]
@@ -267,7 +293,7 @@ def main():
     with tempfile.TemporaryDirectory() as workdir:
         for label, fn in benches + bench_patches(workdir):
             line = f"{label:40s} {timeit(fn) * 1e3:8.2f} ms"
-            if label.startswith("read_patch_csv"):
+            if label.startswith(PEAK_LABELS):
                 line += f"  peak {peak_mb(fn):6.2f} MB"
             print(line)
 

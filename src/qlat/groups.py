@@ -7,7 +7,8 @@ hashing work on these integers: products and orbits through the batched
 products of qlat.kernels, the image of one vector in Python ints.  Every
 group is generated by closure of the simple-root reflections, level by
 word length, and keeps the closure's rows as one (order, d, d, 2) int64
-array; orbits are one product over that array.  The closure is the
+array; orbits are one product over that array, and an element is a row
+of it, wrapped in a GroupElement only when read.  The closure is the
 numbers game (Bjorner and Brenti, Combinatorics of Coxeter Groups, 4.3):
 the Cartan matrix C of the simple roots decides, in integers, which
 products w*s are longer than w and which right descent is the smallest,
@@ -21,9 +22,10 @@ as Q -> conj(q1) Q q2 (optionally with quaternion conjugation of Q).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from . import kernels
 from .quaternions import GoldenQuaternion, qconj, qmul, require_unit, unit_icosians
 from .ring import DomainError, QuadraticRingElement, common_radicand, radicand, signed_squares
 from .roots import RootSystemId, gram, is_quadratic, kappa_of, root_count, simple_roots
-from .vectors import ExactVector, reflect
+from .vectors import ExactVector, reflection
 
 
 def _int_array(values, shape) -> np.ndarray:
@@ -206,15 +208,17 @@ def identity_element(d: int) -> GroupElement:
 def reflection_matrix(r: ExactVector, g=None) -> GroupElement:
     """Matrix of the reflection in the hyperplane normal to root r: its
     column j is the reflection of the unit vector e_j."""
-    return GroupElement.from_columns(
-        reflect(e, r, g) for e in _unit_vectors(r.dim, r.kappa))
+    mirror = reflection(r, g)
+    return GroupElement.from_columns(mirror(e) for e in _unit_vectors(r.dim, r.kappa))
 
 
 class ReflectionGroup:
     """A finite matrix group: one (order, d, d, 2) int64 array of numerator
-    pairs over the denominator 4.  Order, orbits and the byte set read the
-    array; the GroupElement objects are built only when first iterated,
-    indexed or tested for membership."""
+    pairs over the denominator 4, and no object per element.  Order,
+    orbits and the byte set read the array.  ``elements`` is a read-only
+    sequence whose items are views of its rows: indexing and iteration
+    wrap one row in a GroupElement as it is read.  Membership looks a
+    matrix's bytes up in the set of row bytes, built on first use."""
 
     def __init__(self, system: RootSystemId, numerators: np.ndarray, kappa: int):
         self.system = system
@@ -225,23 +229,29 @@ class ReflectionGroup:
     def order(self) -> int:
         return len(self.numerators)
 
-    @cached_property
-    def elements(self) -> list[GroupElement]:
-        """One GroupElement per row of numerators, built on first read."""
-        return [GroupElement._wrap(m, 4, self.kappa) for m in self.numerators]
+    @property
+    def elements(self) -> "GroupRows":
+        """The elements, one per row of numerators, wrapped when read."""
+        return GroupRows(self)
 
-    @cached_property
-    def _index(self) -> dict:
-        return {g: i for i, g in enumerate(self.elements)}
-
-    def __contains__(self, g: GroupElement) -> bool:
-        return g in self._index
+    def __contains__(self, g) -> bool:
+        """g equals an element, by the rule of GroupElement.__eq__: den 4,
+        the bytes of a row, and this group's kappa unless g is rational."""
+        return (isinstance(g, GroupElement) and g.den == 4
+                and (g.kappa == self.kappa or not g._irrational())
+                and g._key[1] in self._row_bytes)
 
     def __iter__(self):
-        return iter(self.elements)
+        kappa = self.kappa
+        return (GroupElement._wrap(m, 4, kappa) for m in self.numerators)
+
+    @cached_property
+    def _row_bytes(self) -> frozenset:
+        return frozenset(_byte_rows(self.numerators))
 
     def compact_byte_set(self) -> frozenset:
-        return frozenset(_byte_rows(self.numerators))
+        """The bytes of every row of numerators, the set membership reads."""
+        return self._row_bytes
 
     def entry_triples(self) -> np.ndarray:
         """(order, d, d, 3) array of the canonical [p, q, den] of every
@@ -249,6 +259,32 @@ class ReflectionGroup:
         x, y = self.numerators[..., 0], self.numerators[..., 1]
         g = np.gcd(np.gcd(x, y), 4)
         return np.stack((x // g, y // g, 4 // g), axis=-1)
+
+
+class GroupRows(Sequence):
+    """The elements of a ReflectionGroup as a read-only sequence: item i
+    wraps row i of the group's numerators in a GroupElement when read, so
+    random.choice and random.sample build only what they return.  Negative
+    indices and slices read as for a tuple."""
+
+    __slots__ = ("group",)
+
+    def __init__(self, group: ReflectionGroup):
+        self.group = group
+
+    def __len__(self) -> int:
+        return self.group.order
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(self.group.order)[i])
+        return GroupElement._wrap(self.group.numerators[index(i)], 4, self.group.kappa)
+
+    def __iter__(self):
+        return iter(self.group)
+
+    def __contains__(self, g) -> bool:
+        return g in self.group
 
 
 def _cartan(simple, g) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ring import DomainError, QuadraticRingElement, tau
-from .vectors import ExactVector, gram_product
+from .vectors import ExactVector, reflection
 
 #: I2(n) whose coordinate ring is a real quadratic ring, keyed to kappa.
 QUADRATIC_I2 = {5: 5, 8: 2, 10: 5, 12: 3}
@@ -140,21 +140,24 @@ def roots(system: RootSystemId):
     """All roots, exact where the coordinate ring is quadratic.
 
     H3: 30 vectors; H4: 120; I2(n): 2n.  Exact roots are the closure of
-    the simple roots under their reflections, in sort_key order.
+    the simple roots under their reflections, in sort_key order; a closure
+    that passes root_count(system) raises DomainError.
     Non-quadratic I2(n) come back as float numpy arrays.  The result is a
     tuple, shared by every caller.
     """
     if is_quadratic(system):
-        g = gram(system)
         simple = simple_roots(system)
-        # vectors.reflect, v -> v - <v, a> c a, with G a and c = 2/<a, a> taken once
-        mirrors = [(a, gram_product(g, a), 2 / a.dot(a, g)) for a in simple]
+        mirrors = [reflection(a, gram(system)) for a in simple]
+        count = root_count(system)
         found = list(simple)
         seen = set(found)
         for v in found:  # found grows as it is read: a breadth-first closure
-            for a, ga, c in mirrors:
-                w = v - a.scale(v.dot(ga) * c)
+            for mirror in mirrors:
+                w = mirror(v)
                 if w not in seen:
+                    if len(found) == count:
+                        raise DomainError(f"the simple roots of {system} close to more "
+                                          f"than its {count} roots")
                     seen.add(w)
                     found.append(w)
         return tuple(sorted(found, key=ExactVector.sort_key))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -173,10 +173,17 @@ def gram_product(gram: Gram, v: ExactVector) -> ExactVector:
     return v if gram is None else ExactVector([row.dot(v) for row in gram])
 
 
-def reflect(v: ExactVector, r: ExactVector, gram: Gram = None) -> ExactVector:
-    """Reflect v in the hyperplane normal to the root r: v - 2<v,r>/<r,r> r."""
-    rr = r.dot(r, gram)
+def reflection(r: ExactVector, gram: Gram = None) -> Callable[[ExactVector], ExactVector]:
+    """The reflection v -> v - 2<v,r>/<r,r> r in the hyperplane normal to
+    the root r, with gram @ r and 2/<r,r> taken once for every v."""
+    gr = gram_product(gram, r)
+    rr = r.dot(gr)
     if not rr:
         raise DomainError("cannot reflect in a zero root")
-    coef = (v.dot(r, gram) * 2) / rr
-    return v - r.scale(coef)
+    c = 2 / rr
+    return lambda v: v - r.scale(v.dot(gr) * c)
+
+
+def reflect(v: ExactVector, r: ExactVector, gram: Gram = None) -> ExactVector:
+    """Reflect v in the hyperplane normal to the root r: v - 2<v,r>/<r,r> r."""
+    return reflection(r, gram)(v)

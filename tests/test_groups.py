@@ -2,6 +2,8 @@
 quaternion-pair realization of the largest group."""
 
 import random
+import tracemalloc
+from collections.abc import Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -350,16 +352,95 @@ def test_byte_rows_are_the_rows_bytes():
 
 def test_group_elements_are_built_on_first_read():
     group = generate.__wrapped__(H4)    # a fresh group, leaving the cache as is
+    fields = {"system", "kappa", "numerators"}
     assert group.order == 14400
     assert len(orbit(group, roots(H4)[0])) == 120
-    assert len(group.compact_byte_set()) == 14400
     assert group.entry_triples().shape == (14400, 4, 4, 3)
-    assert "elements" not in group.__dict__ and "_index" not in group.__dict__
-    units = unit_icosians()
-    g = h4_element_from_quaternions(units[5], units[17])
-    assert g in group and identity_element(4) in group
-    assert "elements" in group.__dict__
+    g = group.elements[77]
     assert sum(1 for _ in group) == 14400 and group.elements[0] == identity_element(4)
+    assert set(group.__dict__) == fields
+    assert np.shares_memory(g.numerators, group.numerators)
+    units = unit_icosians()
+    assert h4_element_from_quaternions(units[5], units[17]) in group
+    assert set(group.__dict__) == fields | {"_row_bytes"}
+    assert group.compact_byte_set() is group.compact_byte_set()
+    assert len(group.compact_byte_set()) == 14400
+
+
+def test_group_elements_index_like_a_tuple():
+    group = generate(H3)
+    els, rows = group.elements, group.numerators
+    assert isinstance(els, Sequence) and len(els) == 120
+    for i in (0, 1, 77, 119, -1, -120):
+        assert els[i].numerators.tobytes() == rows[i].tobytes()
+        assert (els[i].den, els[i].kappa) == (4, 5)
+    for cut in (slice(3, 40, 7), slice(None, None, -1), slice(5, 2), slice(-3, None)):
+        assert [g.numerators.tobytes() for g in els[cut]] == [m.tobytes() for m in rows[cut]]
+    assert list(reversed(els)) == list(els[::-1]) and els.index(els[9]) == 9
+    for i in (120, -121, 10**20):
+        with pytest.raises(IndexError):
+            els[i]
+    for i in (1.0, (0, 1), "0"):
+        with pytest.raises(TypeError):
+            els[i]
+
+
+def test_random_picks_build_only_the_elements_they_return(monkeypatch):
+    group = generate(H4)
+    calls = []
+    wrap = GroupElement._wrap.__func__
+    monkeypatch.setattr(GroupElement, "_wrap",
+                        classmethod(lambda cls, *args: calls.append(1) or wrap(cls, *args)))
+    picks = random.Random(3).sample(group.elements, 25)
+    picks.append(random.Random(4).choice(group.elements))
+    assert len(calls) == 26
+    # the same draws as over range(order): element i is row i
+    index = random.Random(3).sample(range(14400), 25) + [random.Random(4).choice(range(14400))]
+    assert [g.numerators.tobytes() for g in picks] == [
+        group.numerators[i].tobytes() for i in index]
+
+
+def _relabelled(g, kappa):
+    return GroupElement._wrap(g.numerators, g.den, kappa)
+
+
+@pytest.mark.parametrize("system", [I2(5), I2(8), I2(10), I2(12), H3, H4], ids=str)
+def test_membership_keeps_the_element_equality_rule(system):
+    group = generate(system)
+    index = {g: i for i, g in enumerate(group)}    # membership by __eq__ and hash
+    rng = random.Random(11)
+    picks = rng.sample(group.elements, min(12, group.order))
+    d, other = picks[0].dim, 2 if group.kappa != 2 else 3
+    members = picks + [GroupElement(g.entries) for g in picks[:4]] + [
+        a @ b for a, b in zip(picks, picks[1:])]
+    relabelled = [_relabelled(g, k) for g in picks for k in (2, 3, 5)]
+    # c times the identity: entries over 4 and 8, and one past int64
+    scaled = [GroupElement([[c if i == j else 0 for j in range(d)] for i in range(d)])
+              for c in (2, Fraction(1, 2), Fraction(1, 8), 2**70)]
+    others = [g for s in (I2(5), I2(8), I2(10), H3) if s != system
+              for g in generate(s).elements[-6:]]
+    queries = members + relabelled + others + scaled + [None, "e"]
+    answers = [g in group for g in queries]
+    assert answers == [g in index for g in queries]
+    assert answers == [g in group.elements for g in queries]
+    assert all(answers[:len(members)]) and not any(answers[-len(scaled) - 2:])
+    # a kappa label counts only for an irrational element
+    for g in picks:
+        assert (_relabelled(g, other) in group) == (not g._irrational())
+    assert any(g._irrational() for g in picks) and not all(g._irrational() for g in picks)
+
+
+def test_a_fresh_group_holds_its_array_and_little_else():
+    generate(H4)    # the roots, Gram rows and unit vectors, built before tracing
+    tracemalloc.start()
+    try:
+        group = generate.__wrapped__(H4)
+        g = group.elements[9000]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g in group and group.numerators.nbytes == 14400 * 4 * 4 * 2 * 8
+    assert held - group.numerators.nbytes < 0.25e6
 
 
 def test_generate_redoes_the_closure_after_cache_clear(monkeypatch):

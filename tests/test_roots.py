@@ -1,6 +1,8 @@
 """Root systems: counts, closure under reflection, exact geometry."""
 
+import importlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from qlat.roots import (
     roots,
     simple_roots,
 )
-from qlat.vectors import reflect
+from qlat.vectors import ExactVector, reflect
 
 QUAD_SYSTEMS = [I2(5), I2(8), I2(10), I2(12), H3, H4]
 
@@ -85,6 +87,28 @@ def test_exact_closure_under_all_reflections(system):
     for r in rs:
         for v in rs:
             assert reflect(v, r, g) in root_set
+
+
+def _wrong_simple_root(system):
+    a, _, c = simple_roots(system)
+    return "simple_roots", (a, ExactVector((1, 1, 1)), c)
+
+
+def _swapped_gram(system):
+    return "gram", gram(system)[::-1]
+
+
+@pytest.mark.parametrize("system,wrong", [(H3, _wrong_simple_root), (I2(5), _swapped_gram)],
+                         ids=["H3-wrong-simple-root", "I2-5-swapped-gram"])
+def test_a_closure_past_the_root_count_fails_fast(monkeypatch, system, wrong):
+    # the angle arccos(-1/sqrt(3)), or a Gram matrix that is no inner
+    # product, generates infinitely many vectors
+    name, value = wrong(system)
+    monkeypatch.setattr(importlib.import_module("qlat.roots"), name, lambda s: value)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"more than its {root_count(system)} roots"):
+        roots.__wrapped__(system)
+    assert time.perf_counter() - start < 5
 
 
 def _euclidean(system, v):
