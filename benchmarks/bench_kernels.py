@@ -24,7 +24,7 @@ from qlat import kernels
 
 
 #: The lines that also give the tracemalloc peak of one more call.
-PEAK_LABELS = ("read_patch_csv", "generate(H4).elements[k]")
+PEAK_LABELS = ("read_patch_csv", "generate(H4)[k]")
 
 
 def timeit(fn, repeat=5):
@@ -95,7 +95,7 @@ def bench_generate():
     return [("generate(H3), cold (120)", partial(cold, H3)),
             ("generate(I2-12), cold (24)", partial(cold, I2(12))),
             ("generate(H4), cold (14400)", partial(cold, H4)),
-            ("generate(H4).elements[k], cold", lambda: cold(H4).elements[9000])]
+            ("generate(H4)[k], cold", lambda: cold(H4)[9000])]
 
 
 def bench_group_membership():
@@ -105,7 +105,7 @@ def bench_group_membership():
     from qlat.roots import H4
 
     group = generate(H4)
-    picks = random.Random(0).sample(group.elements, 1000)
+    picks = random.Random(0).sample(group, 1000)
     queries = picks[:500] + [GroupElement._wrap(2 * g.numerators, 4, 5) for g in picks[500:]]
     return "g in generate(H4), 1000 calls", lambda: [g in group for g in queries]
 
@@ -137,9 +137,9 @@ def bench_apply_h4():
     from qlat.groups import generate
     from qlat.roots import H4, roots
 
-    elements, rs = generate(H4).elements, roots(H4)
+    group, rs = generate(H4), roots(H4)
     return ("GroupElement.apply(H4 root), 1000 calls",
-            lambda: [elements[i].apply(rs[i % len(rs)]) for i in range(1000)])
+            lambda: [group[i].apply(rs[i % len(rs)]) for i in range(1000)])
 
 
 def bench_icosian_products():

@@ -212,27 +212,36 @@ def reflection_matrix(r: ExactVector, g=None) -> GroupElement:
     return GroupElement.from_columns(mirror(e) for e in _unit_vectors(r.dim, r.kappa))
 
 
-class ReflectionGroup:
-    """A finite matrix group: one (order, d, d, 2) int64 array of numerator
-    pairs over the denominator 4, and no object per element.  Order,
-    orbits and the byte set read the array.  ``elements`` is a read-only
-    sequence whose items are views of its rows: indexing and iteration
-    wrap one row in a GroupElement as it is read.  Membership looks a
-    matrix's bytes up in the set of row bytes, built on first use."""
+class ReflectionGroup(Sequence):
+    """A finite matrix group: one read-only (order, d, d, 2) int64 array of
+    numerator pairs over the denominator 4, and no object per element.  The
+    group is the read-only sequence of its elements: item i wraps row i in
+    a GroupElement as it is read, and writes through a row raise
+    ValueError.  ``g in group`` follows GroupElement.__eq__."""
 
     def __init__(self, system: RootSystemId, numerators: np.ndarray, kappa: int):
         self.system = system
         self.kappa = kappa
         self.numerators = numerators
+        numerators.flags.writeable = False
 
     @property
     def order(self) -> int:
         return len(self.numerators)
 
     @property
-    def elements(self) -> "GroupRows":
-        """The elements, one per row of numerators, wrapped when read."""
-        return GroupRows(self)
+    def elements(self) -> "ReflectionGroup":
+        """The group itself, the sequence of its elements; kept for callers
+        that read ``generate(system).elements``."""
+        return self
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(len(self))[i])
+        return GroupElement._wrap(self.numerators[index(i)], 4, self.kappa)
 
     def __contains__(self, g) -> bool:
         """g equals an element, by the rule of GroupElement.__eq__: den 4,
@@ -240,10 +249,6 @@ class ReflectionGroup:
         return (isinstance(g, GroupElement) and g.den == 4
                 and (g.kappa == self.kappa or not g._irrational())
                 and g._key[1] in self._row_bytes)
-
-    def __iter__(self):
-        kappa = self.kappa
-        return (GroupElement._wrap(m, 4, kappa) for m in self.numerators)
 
     @cached_property
     def _row_bytes(self) -> frozenset:
@@ -259,32 +264,6 @@ class ReflectionGroup:
         x, y = self.numerators[..., 0], self.numerators[..., 1]
         g = np.gcd(np.gcd(x, y), 4)
         return np.stack((x // g, y // g, 4 // g), axis=-1)
-
-
-class GroupRows(Sequence):
-    """The elements of a ReflectionGroup as a read-only sequence: item i
-    wraps row i of the group's numerators in a GroupElement when read, so
-    random.choice and random.sample build only what they return.  Negative
-    indices and slices read as for a tuple."""
-
-    __slots__ = ("group",)
-
-    def __init__(self, group: ReflectionGroup):
-        self.group = group
-
-    def __len__(self) -> int:
-        return self.group.order
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(self.group.order)[i])
-        return GroupElement._wrap(self.group.numerators[index(i)], 4, self.group.kappa)
-
-    def __iter__(self):
-        return iter(self.group)
-
-    def __contains__(self, g) -> bool:
-        return g in self.group
 
 
 def _cartan(simple, g) -> np.ndarray:

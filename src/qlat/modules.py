@@ -84,6 +84,8 @@ class QLModule:
     N x / (D den): a vector is a member exactly when they are integers.
     ``member_basis_coeffs`` (integer rows over ``member_basis_den``) gives
     each basis vector in the frame and turns basis into frame coefficients.
+    The frame, the member basis and every integer table are tuples, so a
+    module that ql() cached cannot be changed by its callers.
     """
 
     def __init__(self, name: str):
@@ -91,24 +93,25 @@ class QLModule:
         self.system, self.constraint, _ = _QUASILATTICES[name]
         self.dim = self.system.rank
         self.rank = 2 * self.dim
-        self.frame = _frame(name)
+        self.frame = tuple(_frame(name))
         self.kappa = self.frame[0].kappa
         frame_cols, frame_den = _columns(self.frame)
-        self.member_basis_coeffs, self.member_basis_den = _member_basis_coeffs(
+        coeff_rows, self.member_basis_den = _member_basis_coeffs(
             name, frame_cols, frame_den)
+        self.member_basis_coeffs = tuple(map(tuple, coeff_rows))
         # frame columns times the transposed coefficient rows
-        self._basis_rows = [
-            [sum(map(mul, row, coeffs)) for coeffs in self.member_basis_coeffs]
+        self._basis_rows = tuple(
+            tuple(sum(map(mul, row, coeffs)) for coeffs in self.member_basis_coeffs)
             for row in frame_cols
-        ]
+        )
         self._basis_den = frame_den * self.member_basis_den
-        self._frame_rows = [list(col) for col in zip(*self.member_basis_coeffs)]
-        self._inverse, self._inverse_den = _integer_inverse(
-            self._basis_rows, self._basis_den)
-        self.member_basis = [
+        self._frame_rows = tuple(zip(*self.member_basis_coeffs))
+        inverse, self._inverse_den = _integer_inverse(self._basis_rows, self._basis_den)
+        self._inverse = tuple(map(tuple, inverse))
+        self.member_basis = tuple(
             self.from_basis_coefficients([int(i == j) for j in range(self.rank)])
             for i in range(self.rank)
-        ]
+        )
 
     # -- coordinates ---------------------------------------------------
 

@@ -151,14 +151,13 @@ def test_criterion_06_ql_axioms(capsys):
             qlm = ql(name)
             group = generate(qlm.system)
             rng = random.Random(hash(name) & 0xFFFF)
-            els = group.elements
             for _ in range(10_000 // 2):
                 a = random_member(qlm, rng, bound=4)
                 b = random_member(qlm, rng, bound=4)
                 assert membership(qlm, a + b).member
                 assert membership(qlm, a - b).member
             for _ in range(10_000 // 2):
-                g = rng.choice(els)
+                g = rng.choice(group)
                 v = random_member(qlm, rng, bound=4)
                 assert membership(qlm, g.apply(v)).member
             assert contains_root_copy(qlm)

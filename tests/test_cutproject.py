@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,9 @@ def test_e8_bilinear_matches_gram():
     g = e8_gram()
     assert e8_bilinear(gens[0], gens[0]) == g[0, 0]
     assert e8_bilinear(gens[2], gens[5]) == g[2, 5]
+    # a third leaves the icosian ring, where the trace form is integral
+    with pytest.raises(ArithmeticError, match="left the integers"):
+        e8_bilinear(ExactVector((Fraction(1, 3), 0, 0, 0)), ExactVector((1, 0, 0, 0)))
 
 
 # -- embeddings ---------------------------------------------------------
@@ -171,6 +175,19 @@ def test_h4_cell_window_rejected():
     emb = embedding("H4")
     with pytest.raises(DomainError):
         generate_patch(emb, Window("cell"), 2.0)
+
+
+def test_unknown_window_shape_rejected():
+    with pytest.raises(DomainError, match="unknown window shape 'hexagon'"):
+        Window("hexagon")
+
+
+def test_coordinates_refuse_coefficients_past_64_bit_numerators():
+    qlm = ql("H3-bcc")
+    coeffs = np.zeros((2, qlm.rank), dtype=np.int64)
+    coeffs[1, 0] = 2**61
+    with pytest.raises(DomainError, match="too large for 64-bit numerators"):
+        _coordinates(qlm, coeffs)
 
 
 def _pairwise_facets(gens, scale):

@@ -71,7 +71,7 @@ def test_all_elements_preserve_the_form(system):
 def test_h4_sampled_elements_preserve_the_form():
     group = generate(H4)
     rng = random.Random(7)
-    for m in rng.sample(group.elements, 40):
+    for m in rng.sample(group, 40):
         assert m.is_orthogonal()
 
 
@@ -79,9 +79,8 @@ def test_h4_sampled_elements_preserve_the_form():
 def test_closure_spot_checks(system):
     group = generate(system)
     rng = random.Random(3)
-    els = group.elements
     for _ in range(60):
-        a, b = rng.choice(els), rng.choice(els)
+        a, b = rng.choice(group), rng.choice(group)
         assert (a @ b) in group
 
 
@@ -215,7 +214,7 @@ def _test_vector(system, kind, rng):
        seed=st.integers(0, 2 ** 32))
 def test_apply_matches_object_arithmetic(system, kind, seed):
     rng = random.Random(seed)
-    g = rng.choice(generate(system).elements)
+    g = rng.choice(generate(system))
     v = _test_vector(system, kind, rng)
     assert g.apply(v) == object_apply(g.entries, v)
 
@@ -261,7 +260,7 @@ def test_apply_matches_the_batched_product(system, sample, kind):
     # coordinates near 10^30 take the batched product's object-dtype path
     assert (max(map(abs, v.form)) > kernels.INT64_MAX) == (kind == "huge")
     batched = _batched_images(group.numerators[list(picks)], v)
-    images = [group.elements[i].apply(v) for i in picks]
+    images = [group[i].apply(v) for i in picks]
     assert list(map(_form, images)) == list(map(_form, batched))
     if sample is None:
         assert frozenset(images) == orbit(group, v)
@@ -288,7 +287,7 @@ def test_matmul_matches_object_arithmetic(data, d, kappa, scale):
 @pytest.mark.parametrize("system", list(SYSTEMS), ids=str)
 def test_integer_elements_equal_and_hash_like_entry_built_ones(system):
     group = generate(system)
-    for g in random.Random(8).sample(group.elements, 10):
+    for g in random.Random(8).sample(group, 10):
         built = GroupElement(g.entries)
         assert built == g and hash(built) == hash(g) and built in group
         assert (built.den, built.numerators.tobytes()) == (4, g.numerators.tobytes())
@@ -331,7 +330,7 @@ def test_apply_refuses_another_radicand():
 
 def test_integer_paths_build_no_entries(monkeypatch):
     group = generate(H4)
-    g, v = group.elements[77], roots(H4)[3]
+    g, v = group[77], roots(H4)[3]
 
     def refuse(self):
         raise AssertionError("entries built")
@@ -356,8 +355,8 @@ def test_group_elements_are_built_on_first_read():
     assert group.order == 14400
     assert len(orbit(group, roots(H4)[0])) == 120
     assert group.entry_triples().shape == (14400, 4, 4, 3)
-    g = group.elements[77]
-    assert sum(1 for _ in group) == 14400 and group.elements[0] == identity_element(4)
+    g = group[77]
+    assert sum(1 for _ in group) == 14400 and group[0] == identity_element(4)
     assert set(group.__dict__) == fields
     assert np.shares_memory(g.numerators, group.numerators)
     units = unit_icosians()
@@ -369,20 +368,34 @@ def test_group_elements_are_built_on_first_read():
 
 def test_group_elements_index_like_a_tuple():
     group = generate(H3)
-    els, rows = group.elements, group.numerators
-    assert isinstance(els, Sequence) and len(els) == 120
+    rows = group.numerators
+    assert isinstance(group, Sequence) and len(group) == 120
     for i in (0, 1, 77, 119, -1, -120):
-        assert els[i].numerators.tobytes() == rows[i].tobytes()
-        assert (els[i].den, els[i].kappa) == (4, 5)
+        assert group[i].numerators.tobytes() == rows[i].tobytes()
+        assert (group[i].den, group[i].kappa) == (4, 5)
     for cut in (slice(3, 40, 7), slice(None, None, -1), slice(5, 2), slice(-3, None)):
-        assert [g.numerators.tobytes() for g in els[cut]] == [m.tobytes() for m in rows[cut]]
-    assert list(reversed(els)) == list(els[::-1]) and els.index(els[9]) == 9
+        assert [g.numerators.tobytes() for g in group[cut]] == [m.tobytes() for m in rows[cut]]
+    assert list(reversed(group)) == list(group[::-1]) and group.index(group[9]) == 9
+    assert group.count(group[9]) == 1
     for i in (120, -121, 10**20):
         with pytest.raises(IndexError):
-            els[i]
+            group[i]
     for i in (1.0, (0, 1), "0"):
         with pytest.raises(TypeError):
-            els[i]
+            group[i]
+
+
+@pytest.mark.parametrize("system", [I2(5), I2(8), I2(10), I2(12), H3, H4], ids=str)
+def test_a_group_is_the_read_only_sequence_of_its_rows(system):
+    group = generate(system)
+    before = group.numerators.tobytes()
+    assert group.elements is group and not group.numerators.flags.writeable
+    g = group[group.order // 2]
+    with pytest.raises(ValueError):
+        g.numerators[0, 0, 0] += 4
+    with pytest.raises(ValueError):
+        group.numerators[-1] = 0
+    assert group.numerators.tobytes() == before == generate(system).numerators.tobytes()
 
 
 def test_random_picks_build_only_the_elements_they_return(monkeypatch):
@@ -391,8 +404,8 @@ def test_random_picks_build_only_the_elements_they_return(monkeypatch):
     wrap = GroupElement._wrap.__func__
     monkeypatch.setattr(GroupElement, "_wrap",
                         classmethod(lambda cls, *args: calls.append(1) or wrap(cls, *args)))
-    picks = random.Random(3).sample(group.elements, 25)
-    picks.append(random.Random(4).choice(group.elements))
+    picks = random.Random(3).sample(group, 25)
+    picks.append(random.Random(4).choice(group))
     assert len(calls) == 26
     # the same draws as over range(order): element i is row i
     index = random.Random(3).sample(range(14400), 25) + [random.Random(4).choice(range(14400))]
@@ -409,7 +422,7 @@ def test_membership_keeps_the_element_equality_rule(system):
     group = generate(system)
     index = {g: i for i, g in enumerate(group)}    # membership by __eq__ and hash
     rng = random.Random(11)
-    picks = rng.sample(group.elements, min(12, group.order))
+    picks = rng.sample(group, min(12, group.order))
     d, other = picks[0].dim, 2 if group.kappa != 2 else 3
     members = picks + [GroupElement(g.entries) for g in picks[:4]] + [
         a @ b for a, b in zip(picks, picks[1:])]
@@ -418,11 +431,10 @@ def test_membership_keeps_the_element_equality_rule(system):
     scaled = [GroupElement([[c if i == j else 0 for j in range(d)] for i in range(d)])
               for c in (2, Fraction(1, 2), Fraction(1, 8), 2**70)]
     others = [g for s in (I2(5), I2(8), I2(10), H3) if s != system
-              for g in generate(s).elements[-6:]]
+              for g in generate(s)[-6:]]
     queries = members + relabelled + others + scaled + [None, "e"]
     answers = [g in group for g in queries]
     assert answers == [g in index for g in queries]
-    assert answers == [g in group.elements for g in queries]
     assert all(answers[:len(members)]) and not any(answers[-len(scaled) - 2:])
     # a kappa label counts only for an irrational element
     for g in picks:
@@ -435,7 +447,7 @@ def test_a_fresh_group_holds_its_array_and_little_else():
     tracemalloc.start()
     try:
         group = generate.__wrapped__(H4)
-        g = group.elements[9000]
+        g = group[9000]
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

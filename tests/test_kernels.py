@@ -57,7 +57,7 @@ def test_quad_matmul_matches_object_products():
 def test_quad_matmul_matches_object_arithmetic():
     rng = np.random.default_rng(2)
     for system in (H3, H4):
-        group = generate(system).elements
+        group = generate(system)
         els = [group[i] for i in rng.choice(len(group), size=6)]
         assert all(g.den == 4 for g in els)
         a = np.stack([g.numerators for g in els[:5]])
@@ -230,6 +230,11 @@ def test_structure_factor_refuses_phases_past_2_53_before_any_phase(monkeypatch)
         with pytest.raises(DomainError, match="fractional part"):
             kernels.structure_factor_sum(points, ks)
     assert sizes == [2]
+
+
+def test_structure_factor_of_no_points_is_refused():
+    with pytest.raises(DomainError, match="empty patch"):
+        kernels.structure_factor_sum(np.zeros((0, 3)), [[1.0, 0.0, 0.0]])
 
 
 def test_structure_factor_periodic_chain():

@@ -18,6 +18,7 @@ from exact_oracle import (
     power_scale_verdict,
     rule_membership,
 )
+from qlat.cutproject import e8_gram
 from qlat.modules import (
     QL_NAMES,
     H4Residue,
@@ -58,18 +59,30 @@ def test_member_basis_is_a_basis(name):
 
 # -- integer linear algebra ------------------------------------------------
 
-_H4_MEMBER_BASIS = [
-    [1, 0, 0, -1, 0, 2, 1, 1], [0, 1, 0, 1, 0, -1, -1, 0],
-    [0, 0, 1, 1, 0, -1, 0, -1], [0, 0, 0, 2, 0, 0, 0, 0],
-    [0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 2, 0, 0],
-    [0, 0, 0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 0, 0, 2],
-]
+_H4_MEMBER_BASIS = (
+    (1, 0, 0, -1, 0, 2, 1, 1), (0, 1, 0, 1, 0, -1, -1, 0),
+    (0, 0, 1, 1, 0, -1, 0, -1), (0, 0, 0, 2, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1, 1, 1, 1), (0, 0, 0, 0, 0, 2, 0, 0),
+    (0, 0, 0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 0, 0, 2),
+)
 
 
 def test_h4_member_basis_rows_are_pinned():
     # every patch's coefficients, and so every patch digest, are in this basis
     assert ql("H4").member_basis_coeffs == _H4_MEMBER_BASIS
     assert ql("H4").member_basis_den == 1
+
+
+@pytest.mark.parametrize("name", QL_NAMES)
+def test_cached_modules_hold_only_tuples(name):
+    qlm = ql(name)
+    assert type(qlm.frame) is tuple and type(qlm.member_basis) is tuple
+    for attr in ("member_basis_coeffs", "_basis_rows", "_frame_rows", "_inverse"):
+        table = getattr(qlm, attr)
+        assert type(table) is tuple and all(type(row) is tuple for row in table), attr
+    with pytest.raises(AttributeError):
+        qlm.member_basis.append(qlm.member_basis[0])
+    assert e8_gram().shape == (8, 8)
 
 
 def _square_matrices(max_size=8, bound=9):
@@ -343,6 +356,8 @@ def test_disallowed_residue_rejected():
         residue_is_golden_multiple_of_root(bad)
     rep = residue_representative(bad)
     assert not membership(ql("H4"), rep).member
+    with pytest.raises(DomainError, match="not half golden integral"):
+        h4_residue_of(ExactVector((Fraction(1, 3), 0, 0, 0)))
 
 
 # -- rescaling ----------------------------------------------------------
@@ -433,9 +448,8 @@ def test_group_invariance_randomized(name):
     qlm = ql(name)
     group = generate(qlm.system)
     rng = random.Random(hash(name) & 0xFFF)
-    els = group.elements
     for _ in range(150):
-        g = rng.choice(els)
+        g = rng.choice(group)
         v = random_member(qlm, rng)
         assert membership(qlm, g.apply(v)).member
 

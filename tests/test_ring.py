@@ -100,6 +100,11 @@ def test_float_and_sign_agree(a):
         assert (a._sign() > 0) == (f > 0)
 
 
+def test_zero_has_no_inverse():
+    with pytest.raises(DomainError, match="division by zero"):
+        QuadraticRingElement(0).inverse()
+
+
 @given(st.sampled_from(KAPPAS).flatmap(lambda k: st.tuples(elements(k), elements(k))))
 def test_exact_division(pair):
     a, b = pair

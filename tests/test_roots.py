@@ -17,6 +17,7 @@ from qlat.roots import (
     RootSystemId,
     gram,
     is_quadratic,
+    kappa_of,
     root_count,
     roots,
     simple_roots,
@@ -36,6 +37,10 @@ def test_parse():
         I2(4)  # crystallographic
     with pytest.raises(DomainError):
         I2(6)
+    with pytest.raises(DomainError, match="takes no index"):
+        RootSystemId("H3", 5)
+    with pytest.raises(DomainError, match="unknown family"):
+        RootSystemId("B3")
 
 
 @pytest.mark.parametrize("system,count", [
@@ -50,6 +55,21 @@ def test_root_counts(system, count):
 def test_float_i2_root_count():
     assert len(roots(I2(7))) == root_count(I2(7)) == 14
     assert not is_quadratic(I2(7))
+    with pytest.raises(DomainError, match="no quadratic coordinate ring"):
+        kappa_of(I2(7))
+
+
+def test_even_float_i2_roots():
+    # the 14th roots of unity, then the sums zeta^k + zeta^(k+1)
+    rs = np.array(roots(I2(14)))
+    assert rs.shape == (28, 2)
+    gaps = np.linalg.norm(rs[:, None] - rs[None], axis=-1)
+    assert gaps[~np.eye(28, dtype=bool)].min() > 0.1
+    # closed under negation
+    assert np.linalg.norm(rs[:, None] + rs[None], axis=-1).min(axis=1).max() < 1e-12
+    norms = np.sort(np.linalg.norm(rs, axis=1))
+    np.testing.assert_allclose(norms[:14], 1.0, rtol=1e-14)
+    np.testing.assert_allclose(norms[14:], 2 * math.cos(math.pi / 14), rtol=1e-14)  # 1.949856
 
 
 def test_too_many_float_roots_refused():

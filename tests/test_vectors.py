@@ -116,7 +116,7 @@ def test_vectors_from_numerators_build_coordinates_on_first_read():
 
 def test_integer_paths_build_no_coordinates(monkeypatch):
     qlm, group, rs, units = ql("H4"), generate(H4), roots(H4), unit_icosians()
-    g, t = group.elements[77], tau()
+    g, t = group[77], tau()
     r5, g5 = roots(I2(5)), gram(I2(5))
 
     def refuse(self):
