@@ -1,8 +1,8 @@
 """Time the three numpy kernels, the integer-backed group and quaternion
 paths, group membership, exact vector and ring arithmetic, reflection
 matrices, the cold build of the exact root systems, of the seven modules
-and of the E8 roots, the scalar module coordinates and the patch path
-(generate, exact points, write, read).
+and of the E8 roots, the scalar module coordinates, the scale-factor
+table and the patch path (generate, exact points, write, read).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_kernels.py``.  Each line
 gives the best of five runs after one warm-up run; the scalar lines make
@@ -241,6 +241,17 @@ def bench_from_basis_coefficients_h4():
             lambda: [qlm.from_basis_coefficients(c) for c in rows])
 
 
+def bench_scale_factors():
+    """The scale-factor table re-derived from the Pell units, and one
+    classification of a power of tau."""
+    from qlat.modules import ql, scale_classification, verify_table1
+    from qlat.ring import tau
+
+    return [("verify_table1()", verify_table1),
+            ("scale_classification(H3-primitive, t^1e8)",
+             partial(scale_classification, ql("H3-primitive"), tau(), 10**8))]
+
+
 def bench_patch_exact():
     """Patch.exact on the H3-primitive cell patch of radius 12 (1429
     points) and the H4 ball patch of radius 5 (9481 points), built afresh
@@ -289,6 +300,7 @@ def main():
     benches += bench_vector_arithmetic()
     benches += bench_ring_arithmetic()
     benches += bench_reflection_matrices()
+    benches += bench_scale_factors()
     benches += bench_patch_exact()
     with tempfile.TemporaryDirectory() as workdir:
         for label, fn in benches + bench_patches(workdir):

@@ -28,7 +28,6 @@ from .modules import (
     H4Residue,
     MembershipResult,
     QLModule,
-    ScaleClassification,
     contains_root_copy,
     enumerate_h4_residues,
     h4_residue_of,
@@ -48,12 +47,10 @@ from .quaternions import (
 )
 from .ring import (
     DomainError,
-    FundamentalUnitResult,
     QuadraticRingElement,
     fundamental_unit,
     golden,
     tau,
-    totient,
 )
 from .roots import H3, H4, I2, RootSystemId, gram, roots, simple_roots
 from .textio import format_element, format_vector, parse_element, parse_exact_vector

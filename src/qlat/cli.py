@@ -126,18 +126,18 @@ def cmd_scale(args):
     if args.factor is not None:
         factor = textio.parse_element(args.factor, qlm.kappa)
     else:
-        factor = fundamental_unit(qlm.kappa).unit
-    cls = modules.scale_classification(qlm, factor, args.power)
+        factor = fundamental_unit(qlm.kappa)
+    verdict = modules.scale_classification(qlm, factor, args.power)
     payload = {
         "ql": qlm.name,
         "factor": textio.format_element(factor),
         "power": args.power,
-        "verdict": cls.verdict,
-        "index": cls.index,
+        "verdict": verdict,
+        "index": 1 if verdict == "invariant" else None,
     }
     _emit(args, payload,
           [f"{qlm.name}: scaling by ({payload['factor']})^{args.power} "
-           f"-> {cls.verdict}"])
+           f"-> {verdict}"])
     return 0
 
 

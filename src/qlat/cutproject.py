@@ -10,6 +10,7 @@ x + conj(x) + (x - conj(x))/sqrt(5) applied to the golden 4D dot.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -32,6 +33,9 @@ class Window:
             raise DomainError(f"unknown window shape {self.shape!r}")
         if not 0 < self.scale < math.inf:
             raise DomainError("window scale must be a positive finite number")
+        if self.scale < sys.float_info.min:
+            raise DomainError(f"window scale {self.scale!r} is below the smallest "
+                              f"normal float {sys.float_info.min!r}")
 
 
 @dataclass

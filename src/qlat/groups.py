@@ -94,6 +94,7 @@ class GroupElement:
         return cls._wrap(*_column_form(vectors))
 
     def _fill(self, numerators: np.ndarray, den: int, kappa: int) -> None:
+        numerators.flags.writeable = False  # _key holds these bytes
         self.numerators = numerators
         self.den = den
         self.kappa = kappa

@@ -62,12 +62,6 @@ class MembershipResult:
 
 
 @dataclass(frozen=True)
-class ScaleClassification:
-    verdict: str  # "invariant" | "not-closed"
-    index: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class H4Residue:
     m: tuple[int, int, int, int]
     n: tuple[int, int, int, int]
@@ -406,12 +400,13 @@ def _scale_period(qlm: QLModule, factor: QuadraticRingElement) -> Optional[int]:
 
 
 def scale_classification(qlm: QLModule, factor: QuadraticRingElement,
-                         power: int = 1) -> ScaleClassification:
-    """Classify multiplication by factor**power on the module."""
+                         power: int = 1) -> str:
+    """Classify multiplication by factor**power on the module: "invariant"
+    when it maps the module onto itself, "not-closed" otherwise."""
     period = _scale_period(qlm, factor)
     if power == 0 or (period and power % period == 0):
-        return ScaleClassification("invariant", index=1)
-    return ScaleClassification("not-closed")
+        return "invariant"
+    return "not-closed"
 
 
 @dataclass(frozen=True)
@@ -458,7 +453,7 @@ def verify_table1() -> Table1Report:
     rows = []
     for name in QL_NAMES:
         qlm, expected_power = ql(name), _QUASILATTICES[name].least_power
-        u = fundamental_unit(qlm.kappa).unit
+        u = fundamental_unit(qlm.kappa)
         minimal = _scale_period(qlm, u)
         ok = minimal == expected_power
         rows.append(Table1Row(

@@ -7,7 +7,6 @@ used by the octagonal and dodecagonal quasilattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import index
@@ -270,16 +269,7 @@ def golden(m: int, n: int) -> QuadraticRingElement:
     return QuadraticRingElement(2 * m + n, n, 5, 2)
 
 
-@dataclass(frozen=True)
-class FundamentalUnitResult:
-    unit: QuadraticRingElement
-    a: int
-    b: int
-    delta: int
-    norm_sign: int
-
-
-def fundamental_unit(kappa: int) -> FundamentalUnitResult:
+def fundamental_unit(kappa: int) -> QuadraticRingElement:
     """Smallest unit > 1 of the ring of integers of Q(sqrt(kappa)).
 
     Found as the smallest positive (a, b) with a^2 - delta*b^2 = +-4,
@@ -292,31 +282,9 @@ def fundamental_unit(kappa: int) -> FundamentalUnitResult:
     while True:
         for sign in (-1, 1):
             a2 = delta * b * b + 4 * sign
-            if a2 <= 0:
-                continue
             a = isqrt(a2)
             if a * a == a2:
                 if delta == kappa:
-                    unit = QuadraticRingElement(a, b, kappa, 2)
-                else:
-                    unit = QuadraticRingElement(a, 2 * b, kappa, 2)
-                return FundamentalUnitResult(unit, a, b, delta, sign)
+                    return QuadraticRingElement(a, b, kappa, 2)
+                return QuadraticRingElement(a, 2 * b, kappa, 2)
         b += 1
-
-
-def totient(n: int) -> int:
-    """Euler's totient."""
-    if n < 1:
-        raise DomainError("totient needs n >= 1")
-    result = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result

@@ -105,6 +105,21 @@ def test_roots_json(capsys):
     assert len(data["roots"]) == 16
 
 
+def test_float_roots_as_text_json_and_file(capsys, tmp_path):
+    code, out = run(capsys, "roots", "--system", "I2-7")
+    assert code == 0
+    text = [[float(x) for x in line.split(",")] for line in out.splitlines()]
+    assert len(text) == 14
+    np.testing.assert_allclose(np.linalg.norm(text, axis=1), 1.0, rtol=1e-14)
+    code, json_out = run(capsys, "roots", "--system", "I2-7", "--format", "json")
+    assert code == 0
+    assert json.loads(json_out) == {"system": "I2-7", "count": 14, "roots": text}
+    path = tmp_path / "roots.json"
+    code, out = run(capsys, "roots", "--system", "I2-7", "--out", str(path))
+    assert code == 0 and out == f"wrote 14 roots to {path}\n"
+    assert path.read_text() + "\n" == json_out
+
+
 def test_group_order(capsys):
     code, out = run(capsys, "group", "--system", "H3")
     assert code == 0 and out.strip() == "120"
@@ -171,6 +186,8 @@ def test_icosians_check_closure(capsys):
     code, out = run(capsys, "icosians", "--check-closure")
     assert code == 0
     assert "closure ok" in out
+    code, out = run(capsys, "icosians")
+    assert code == 0 and out == "120\n"
 
 
 def test_member_yes(capsys):
@@ -219,9 +236,14 @@ def test_scale_huge_power_is_answered_at_once(capsys):
                     "--format", "json")
     assert time.perf_counter() - start < 1.0
     assert code == 0
-    assert json.loads(out)["verdict"] == "invariant"
+    data = json.loads(out)
+    assert data["verdict"] == "invariant" and data["index"] == 1
     code, out = run(capsys, "scale", "--ql", "H3-primitive", "--power", "100000000")
     assert code == 0 and "not-closed" in out
+    code, out = run(capsys, "scale", "--ql", "H3-primitive", "--power", "100000000",
+                    "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["verdict"] == "not-closed" and data["index"] is None
 
 
 def test_verify_table1(capsys):
@@ -506,6 +528,8 @@ BAD_ARGUMENTS = {
                        "--out", "{tmp}/x.csv"], {}),
     "project-wrong-ring": (["project", "--target", "I2-8", "--radius", "4",
                             "--out", "{tmp}/x.csv"], {}),
+    "project-subnormal-window": (["project", "--target", "H3-fcc", "--radius", "3",
+                                  "--window-scale", "1e-320", "--out", "{tmp}/x.csv"], {}),
     "project-oversized": (["project", "--target", "H4", "--window", "ball",
                            "--radius", "1e4", "--out", "{tmp}/x.csv"], {}),
     "diffract-not-utf8": (_DIFFRACT, {"patch.csv": _HEADER.encode() + b"\xff\n"}),
@@ -530,6 +554,7 @@ def test_bad_arguments_cover_every_verb():
     assert {argv[0] for argv, _ in BAD_ARGUMENTS.values()} == set(verbs)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv,files", BAD_ARGUMENTS.values(), ids=list(BAD_ARGUMENTS))
 def test_bad_arguments_end_in_one_line(capsys, tmp_path, argv, files):
     if argv[0] == "diffract":

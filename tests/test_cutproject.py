@@ -236,6 +236,15 @@ def test_non_finite_or_non_positive_sizes_rejected(radius, scale):
         generate_patch(embedding("H3-bcc"), Window("ball", scale), radius)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", ["cell", "ball"])
+@pytest.mark.parametrize("scale", [1e-308, 1e-309, 1e-320, 5e-324])
+def test_subnormal_window_scale_rejected(shape, scale):
+    # below the smallest normal float, perpendicular rows over the scale overflow
+    with pytest.raises(DomainError, match=f"window scale {scale!r} is below"):
+        generate_patch(embedding("H3-fcc"), Window(shape, scale), 3.0)
+
+
 def test_huge_patch_refused_before_any_work():
     emb = embedding("H4")
     start = time.perf_counter()
@@ -490,6 +499,10 @@ def test_header_only_patch_file_is_refused(tmp_path):
     assert str(err.value) == f"{path}, line 3: {MISMATCH}"
 
 
+# The third value of each case is part of its test id, so it keeps the
+# name of the check an earlier field-by-field parser made; the branches
+# below say what each edit is, and every edit is refused with the mismatch
+# at the first line that differs from the writer's bytes.
 @pytest.mark.parametrize("cut,line,defect", [
     ("fraction", 5, "coefficient '1.5' is not a 64-bit integer"),
     ("short", 4, "expected 12 fields, found 5"),

@@ -398,6 +398,23 @@ def test_a_group_is_the_read_only_sequence_of_its_rows(system):
     assert group.numerators.tobytes() == before == generate(system).numerators.tobytes()
 
 
+def test_every_kind_of_element_is_read_only():
+    # _key holds the bytes an element was made with, so they must not change
+    group = generate(H3)
+    made = {
+        "product": group[5] @ group[7],
+        "columns": GroupElement.from_columns(roots(H3)[:3]),
+        "entries": GroupElement([[_entry(1, 0, 5, 2), _entry(0, 1, 5, 2)],
+                                 [_entry(0, 0, 5, 1), _entry(1, 0, 5, 1)]]),
+        "reflection": reflection_matrix(roots(H3)[0]),
+        "identity": identity_element(3),
+    }
+    for kind, g in made.items():
+        with pytest.raises(ValueError):
+            g.numerators[0, 0, 0] += 4
+        assert not g.numerators.flags.writeable, kind
+
+
 def test_random_picks_build_only_the_elements_they_return(monkeypatch):
     group = generate(H4)
     calls = []
@@ -501,6 +518,9 @@ def test_closure_refuses_a_generator_off_the_quarter_integers():
     cartan = groups._cartan(simple_roots(I2(5)), gram(I2(5)))
     with pytest.raises(DomainError, match="divide 4"):
         groups._numbers_game([identity_element(2), third], cartan, 5, 6)
+    # 2<a, b>/<b, b> = 2/3 for a = (1, 0, 0), b = (1, 1, 1)
+    with pytest.raises(DomainError, match="not over the denominator 2"):
+        groups._cartan([ExactVector((1, 0, 0)), ExactVector((1, 1, 1))], None)
 
 
 def _seen_set_bfs(gens, kappa):

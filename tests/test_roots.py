@@ -72,6 +72,16 @@ def test_even_float_i2_roots():
     np.testing.assert_allclose(norms[14:], 2 * math.cos(math.pi / 14), rtol=1e-14)  # 1.949856
 
 
+def test_quadratic_i2_are_the_n_with_a_quartic_cyclotomic_field():
+    # the paper's 2D claim: I2(n) has a quadratic coordinate ring exactly
+    # when Q(zeta_m), m = lcm(2, n), has degree phi(m) = 4
+    def phi(m):
+        return sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+
+    quartic = {n for n in range(5, 61) if phi(2 * n if n % 2 else n) == 4}
+    assert quartic == set(QUADRATIC_I2) == {5, 8, 10, 12}
+
+
 def test_too_many_float_roots_refused():
     # 100 002 roots, one over the limit
     with pytest.raises(DomainError, match="limit"):
