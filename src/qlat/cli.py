@@ -175,19 +175,21 @@ def cmd_project(args):
 
 
 def _read_k_list(path: str, dim: int) -> np.ndarray:
-    """The finite k vectors of a JSON file of rows or {"k": rows}."""
+    """The finite k vectors, of JSON numbers, in a JSON file of rows or {"k": rows}."""
     with open(path) as fh:
         try:
             data = json.load(fh)
-            ks = np.array(data["k"] if isinstance(data, dict) else data, dtype=float)
+            rows = data["k"] if isinstance(data, dict) else data
+            ks = np.array(rows, dtype=float)
         except OverflowError:
             raise DomainError(f"{path}: a k component is past the float range") from None
         except (KeyError, TypeError, ValueError, RecursionError):
             ks = None
-    if ks is None or ks.ndim != 2 or ks.shape[1] != dim:
-        raise DomainError(f"{path}: expected a JSON list of {dim}-component k vectors")
-    if not np.isfinite(ks).all():
+    shaped = ks is not None and ks.ndim == 2 and ks.shape[1] == dim
+    if shaped and not np.isfinite(ks).all():
         raise DomainError(f"{path}: k vectors must be finite, not NaN or infinite")
+    if not shaped or any(type(x) not in (int, float) for row in rows for x in row):
+        raise DomainError(f"{path}: expected a JSON list of {dim}-component k vectors")
     return ks
 
 

@@ -169,7 +169,7 @@ def _window_circumradius(emb: Embedding, window: Window) -> float:
         return window.scale
     gens = emb.cell_generators
     signs = np.array(list(product((-0.5, 0.5), repeat=gens.shape[1])))
-    return window.scale * np.linalg.norm(signs @ gens.T, axis=1).max()
+    return window.scale * float(np.linalg.norm(signs @ gens.T, axis=1).max())
 
 
 def generate_patch(emb: Embedding, window: Window, radius: float) -> Patch:
@@ -177,11 +177,13 @@ def generate_patch(emb: Embedding, window: Window, radius: float) -> Patch:
     image lies inside the window."""
     if not 0 < radius < math.inf:
         raise DomainError("radius must be a positive finite number")
+    # w bounds the window and its facets: each wanted c has |par c|^2/r2 + |perp c|^2/w^2 <= 2
+    w = _window_circumradius(emb, window)
+    if w == math.inf:
+        raise DomainError(f"window scale {window.scale!r} overflows the window")
     if window.shape == "cell":
         normals, supports = _zonotope_facets(emb.cell_generators, window.scale)
-    # w bounds the window, so every wanted c has |par c|^2/r2 + |perp c|^2/w^2 <= 2
     r2 = radius * radius + 1e-9
-    w = _window_circumradius(emb, window)
     coeffs = kernels.ellipsoid_points(
         np.vstack([emb.parallel / math.sqrt(r2), emb.perpendicular / w]), 2.0)
     qq = coeffs @ emb.perpendicular.T

@@ -50,8 +50,6 @@ def signed_squares(p, q, kappa: int):
 
 
 def _squarefree(n: int) -> bool:
-    if n < 1:
-        return False
     d = 2
     while d * d <= n:
         if n % (d * d) == 0:

@@ -12,6 +12,7 @@ products exact.  Other I2(n) are emitted as float vectors only.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -58,16 +59,14 @@ class RootSystemId:
 
     @staticmethod
     def parse(text: str) -> "RootSystemId":
-        text = text.strip()
-        if text in ("H3", "H4"):
-            return RootSystemId(text)
-        if text.startswith("I2"):
-            tail = text[2:].lstrip("-(").rstrip(")")
-            try:
-                return RootSystemId("I2", int(tail))
-            except ValueError:
-                pass
-        raise DomainError(f"cannot parse root system {text!r}")
+        """H3, H4, I2-n or I2(n) for decimal digits n, after strip(); else refused."""
+        m = re.fullmatch(r"(H3|H4)|I2(?:-(\d+)|\((\d+)\))", text.strip())
+        try:
+            if m:
+                return RootSystemId(m[1]) if m[1] else RootSystemId("I2", int(m[2] or m[3]))
+        except ValueError:
+            pass
+        raise DomainError(f"cannot parse root system {text.strip()!r}")
 
     def __str__(self):
         return self.family if self.n is None else f"I2-{self.n}"

@@ -2,8 +2,9 @@
 
 The CLI grammar spells the ring irrationality as ``t`` (the golden ratio
 for kappa = 5, sqrt(kappa) otherwise): coordinates look like ``1``,
-``-1/2``, ``t/2``, ``(t-1)/2`` or ``1+2t``.  JSON uses the raw integer
-triple [p, q, den] over sqrt(kappa).
+``-1/2``, ``t/2``, ``(t-1)/2`` or ``1+2t``.  A sum over a denominator needs
+its parentheses, and a blank coordinate is refused.  JSON uses the raw
+integer triple [p, q, den] over sqrt(kappa).
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from math import gcd
 from .ring import DomainError, QuadraticRingElement
 from .vectors import ExactVector
 
-_TERM = re.compile(r"([+-]?)(\d+\s*t|\d+|t)$")
+# sum | (sum)/den | term/den | other text/den, which names a zero den first
+_SUM = r"[+-]?(?:\d+t?|t)(?:[+-](?:\d+t?|t))*"
+_ELEMENT = re.compile(rf"(?P<sum>{_SUM})|(?:\((?P<over>{_SUM})\)|(?P<term>[+-]?(?:\d+t?|t))"
+                      r"|\(.+\)|[^/]+)/(?P<den>\d+)")
 
 
 def format_element(c: QuadraticRingElement) -> str:
@@ -73,34 +77,17 @@ def parse_element(text: str, kappa: int = 5) -> QuadraticRingElement:
     tok = text.strip().replace(" ", "")
     if not tok:
         raise DomainError("empty coordinate")
-    den = 1
-    m = re.match(r"^\((.+)\)/(\d+)$", tok)
-    if m:
-        body, den = m.group(1), _integer(m.group(2))
-    else:
-        m = re.match(r"^([^/]+)/(\d+)$", tok)
-        if m:
-            body, den = m.group(1), _integer(m.group(2))
-        else:
-            body = tok
+    m = _ELEMENT.fullmatch(tok)
+    den = _integer(m["den"]) if m and m["den"] else 1
     if den == 0:
         raise DomainError(f"zero denominator in {text!r}")
-    a = b = 0
-    pos = 0
-    for part in re.finditer(r"[+-]?[^+-]+", body):
-        piece = part.group(0)
-        if part.start() != pos or not _TERM.match(piece):
-            raise DomainError(f"cannot parse coordinate {text!r}")
-        sign = -1 if piece.startswith("-") else 1
-        piece = piece.lstrip("+-")
-        if piece.endswith("t"):
-            digits = piece[:-1].strip()
-            b += sign * _integer(digits or "1")
-        else:
-            a += sign * _integer(piece)
-        pos = part.end()
-    if pos != len(body):
+    body = m and (m["sum"] or m["over"] or m["term"])
+    if not body:
         raise DomainError(f"cannot parse coordinate {text!r}")
+    a = b = 0
+    for sign, digits, t in re.findall(r"([+-]?)(\d+|(?=t))(t?)", body):
+        n = _integer(digits or "1") * (-1 if sign == "-" else 1)
+        a, b = (a, b + n) if t else (a + n, b)
     if kappa == 5:
         # (a + b*tau)/den back to the sqrt(5) basis
         return QuadraticRingElement(2 * a + b, b, 5, 2 * den)
@@ -108,10 +95,9 @@ def parse_element(text: str, kappa: int = 5) -> QuadraticRingElement:
 
 
 def parse_exact_vector(text: str, kappa: int = 5) -> ExactVector:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
+    if not text.replace(",", "").strip():
         raise DomainError("empty vector")
-    return ExactVector(parse_element(p, kappa) for p in parts)
+    return ExactVector(parse_element(p, kappa) for p in text.split(","))
 
 
 def format_vector(v: ExactVector) -> str:

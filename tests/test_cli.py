@@ -57,10 +57,19 @@ def test_format_parse_round_trip(m, n, den, kappa):
     assert parse_element(format_element(c), kappa) == c
 
 
-@pytest.mark.parametrize("text", ["--1", "1+", "1+-t", "+", "2t3", "1/0", "(1+t)/0"])
+@pytest.mark.parametrize("text", ["--1", "1+", "1+-t", "+", "2t3", "1/0", "(1+t)/0",
+                                  "1+t/2", "t-1/2", "1+1/2", "2t+1/3"])
 def test_parse_rejects_malformed_or_zero_denominator(text):
     with pytest.raises(DomainError):
         parse_element(text)
+
+
+def test_vector_with_a_blank_coordinate_is_refused():
+    for text in ["1,,2,3", "2,0,0,", ",1"]:
+        with pytest.raises(DomainError, match="empty coordinate"):
+            parse_exact_vector(text)
+    with pytest.raises(DomainError, match="empty vector"):
+        parse_exact_vector(" , ")
 
 
 def test_vector_round_trip():
@@ -501,13 +510,17 @@ BAD_ARGUMENTS = {
     "roots-empty": (["roots", "--system", ""], {}),
     "roots-huge": (["roots", "--system", "I2-" + "9" * 5000], {}),
     "roots-nan": (["roots", "--system", "I2-nan"], {}),
+    "roots-doubled-parenthesis": (["roots", "--system", "I2((5"], {}),
     "roots-oversized": (["roots", "--system", "I2-50001"], {}),
     "group-empty": (["group", "--system", ""], {}),
     "group-wrong-ring": (["group", "--system", "I2-7"], {}),
+    "group-no-separator": (["group", "--system", "I25"], {}),
     "group-huge": (["group", "--system", "I2-100000"], {}),
     "icosians-format": (["icosians", "--format", "xml"], {}),
     "member-huge": (["member", "--ql", "H4", "--vector", "1" * 5000 + ",0,0,0"], {}),
     "member-nan": (["member", "--ql", "H4", "--vector", "nan,0,0,0"], {}),
+    "member-unparenthesized-sum": (["member", "--ql", "H4", "--vector", "1+t/2,0,0,0"], {}),
+    "member-blank-coordinate": (["member", "--ql", "H4", "--vector", "1,,0,0,0"], {}),
     "member-empty": (["member", "--ql", "H4", "--vector", ""], {}),
     "member-wrong-length": (["member", "--ql", "H4", "--vector", "1,2"], {}),
     "member-wrong-ring": (["member", "--ql", "I2-7", "--vector", "1,0"], {}),
@@ -517,6 +530,7 @@ BAD_ARGUMENTS = {
     "scale-nan-factor": (["scale", "--ql", "H4", "--factor", "nan"], {}),
     "scale-nan-power": (["scale", "--ql", "H4", "--power", "nan"], {}),
     "scale-empty-factor": (["scale", "--ql", "H4", "--factor", ""], {}),
+    "scale-unparenthesized-sum": (["scale", "--ql", "H4", "--factor", "1+t/1"], {}),
     "scale-wrong-ring": (["scale", "--ql", "H4", "--factor", "2"], {}),
     "verify-nothing": (["verify"], {}),
     "verify-format": (["verify", "--table1", "--format", "xml"], {}),
@@ -530,6 +544,12 @@ BAD_ARGUMENTS = {
                             "--out", "{tmp}/x.csv"], {}),
     "project-subnormal-window": (["project", "--target", "H3-fcc", "--radius", "3",
                                   "--window-scale", "1e-320", "--out", "{tmp}/x.csv"], {}),
+    "project-huge-cell-window": (["project", "--target", "H3-fcc", "--radius", "3",
+                                  "--window", "cell", "--window-scale", "1e308",
+                                  "--out", "{tmp}/x.csv"], {}),
+    "project-largest-cell-window": (["project", "--target", "H3-fcc", "--radius", "3",
+                                     "--window", "cell", "--window-scale", "1.7e308",
+                                     "--out", "{tmp}/x.csv"], {}),
     "project-oversized": (["project", "--target", "H4", "--window", "ball",
                            "--radius", "1e4", "--out", "{tmp}/x.csv"], {}),
     "diffract-not-utf8": (_DIFFRACT, {"patch.csv": _HEADER.encode() + b"\xff\n"}),
@@ -541,6 +561,8 @@ BAD_ARGUMENTS = {
     "diffract-huge-k": (_DIFFRACT, {"k.json": b"[[1e308, 0, 0]]"}),
     "diffract-empty-k": (_DIFFRACT, {"k.json": b""}),
     "diffract-wrong-length-k": (_DIFFRACT, {"k.json": b"[[1, 2]]"}),
+    "diffract-string-k": (_DIFFRACT, {"k.json": b'[["1", 0, 0]]'}),
+    "diffract-boolean-k": (_DIFFRACT, {"k.json": b"[[true, 0, 0]]"}),
     "diffract-empty-patch": (_DIFFRACT, {"patch.csv": b""}),
     "diffract-missing-patch": (["diffract", "--in", "{tmp}/none.csv", "--k-list",
                                 "{tmp}/k.json", "--out", "{tmp}/i.csv"], {}),

@@ -342,6 +342,12 @@ def test_every_residue_is_a_golden_multiple_of_a_root():
         assert residue_is_golden_multiple_of_root(r)
 
 
+def test_residue_check_answers_false_without_a_matching_root(monkeypatch):
+    residues = enumerate_h4_residues()
+    monkeypatch.setattr("qlat.modules.roots", lambda system: [])
+    assert not any(residue_is_golden_multiple_of_root(r) for r in residues)
+
+
 def test_residue_of_representative_round_trips():
     for r in enumerate_h4_residues():
         rep = residue_representative(r)
@@ -453,6 +459,15 @@ def test_group_invariance_randomized(name):
 @pytest.mark.parametrize("name", QL_NAMES)
 def test_contains_root_copy(name):
     assert contains_root_copy(ql(name))
+
+
+@pytest.mark.parametrize("name", ["H3-primitive", "H3-fcc", "H3-bcc"])
+def test_contains_root_copy_answers_false_for_a_root_off_the_module(monkeypatch, name):
+    # scaled by 1 or by twice a member coordinate, (1/7, 0, 0) stays off the module
+    qlm = ql(name)
+    monkeypatch.setattr("qlat.modules.roots",
+                        lambda system: [ExactVector((Fraction(1, 7), 0, 0))])
+    assert not contains_root_copy(qlm)
 
 
 @pytest.mark.parametrize("name", ["H3-primitive", "H3-fcc", "H3-bcc"])

@@ -169,6 +169,15 @@ def test_fundamental_units():
         fundamental_unit(4)
 
 
+@pytest.mark.parametrize("kappa,p,q,den,norm", [
+    (6, 5, 2, 1, 1), (7, 8, 3, 1, 1), (13, 3, 1, 2, -1), (14, 15, 4, 1, 1), (19, 170, 39, 1, 1)])
+def test_fundamental_unit_past_the_first_pell_step(kappa, p, q, den, norm):
+    """Rings whose Pell search runs past b = 1: the unit is (p + q*sqrt(kappa))/den."""
+    u = fundamental_unit(kappa)
+    assert u == QuadraticRingElement(p, q, kappa, den)
+    assert u.norm() == norm
+
+
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_fundamental_unit_properties(kappa):
     u = fundamental_unit(kappa)

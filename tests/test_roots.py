@@ -33,6 +33,9 @@ def test_parse():
     assert RootSystemId.parse("I2(12)") == I2(12)
     with pytest.raises(DomainError):
         RootSystemId.parse("E8")
+    for text in ["I25", "I2((5", "I2-5)", "I2-+8", "I2-1_0", "I2-" + "1" * 5000]:
+        with pytest.raises(DomainError, match="cannot parse root system"):
+            RootSystemId.parse(text)
     with pytest.raises(DomainError):
         I2(4)  # crystallographic
     with pytest.raises(DomainError):
